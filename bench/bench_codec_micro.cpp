@@ -1,5 +1,6 @@
-// E14 — codec micro-benchmarks (google-benchmark): GF(2^8) primitives and
-// Reed-Solomon encode/decode throughput across object sizes and [n, k].
+// E14 — codec micro-benchmarks (google-benchmark): GF(2^8) primitives, the
+// region-multiply kernels, and Reed-Solomon encode/decode throughput across
+// object sizes and [n, k].
 #include "codec/codec.hpp"
 #include "codec/gf256.hpp"
 #include "common/types.hpp"
@@ -31,6 +32,36 @@ void BM_GfInv(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GfInv);
+
+// dst ^= c * src over one region, for each kernel behind
+// GF256::mul_add_region (args: kernel 0 = portable / 1 = AVX2, length).
+void BM_GfMulAddRegion(benchmark::State& state) {
+  const bool avx2 = state.range(0) == 1;
+  const auto len = static_cast<std::size_t>(state.range(1));
+  const detail::RegionKernel kernel =
+      avx2 ? detail::avx2_kernel() : &detail::mul_add_region_portable;
+  if (kernel == nullptr) {
+    state.SkipWithError("CPU has no AVX2");
+    return;
+  }
+  const Value src = make_test_value(len, 1);
+  Value dst = make_test_value(len, 2);
+  GF256::Elem c = 2;
+  for (auto _ : state) {
+    kernel(c, src.data(), dst.data(), len);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+    c = static_cast<GF256::Elem>(c == 255 ? 2 : c + 1);
+  }
+  state.SetLabel(avx2 ? "avx2" : "portable");
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(len));
+}
+BENCHMARK(BM_GfMulAddRegion)
+    ->Args({0, 4096})
+    ->Args({0, 21846})
+    ->Args({1, 4096})
+    ->Args({1, 21846});
 
 void BM_RsEncode(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

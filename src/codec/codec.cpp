@@ -24,6 +24,22 @@ std::uint64_t get_len(const Value& frag) {
   return len;
 }
 
+/// Pointers to the k zero-padded `len`-byte stripes of v (stripe c is
+/// v[c*len, (c+1)*len)). Stripes that run past the end of v are served from
+/// `pad`; the others point into v.
+std::vector<const std::uint8_t*> stripe_rows(const Value& v, std::size_t k,
+                                             std::size_t len, Value& pad) {
+  const std::size_t whole = len == 0 ? k : v.size() / len;
+  pad.assign((k - whole) * len, 0);
+  std::copy(v.begin() + static_cast<std::ptrdiff_t>(whole * len), v.end(),
+            pad.begin());
+  std::vector<const std::uint8_t*> rows(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    rows[c] = c < whole ? v.data() + c * len : pad.data() + (c - whole) * len;
+  }
+  return rows;
+}
+
 /// Picks k fragments with distinct indices; nullopt if impossible.
 std::optional<std::vector<Fragment>> pick_distinct(
     const std::vector<Fragment>& fragments, std::size_t k, std::size_t n) {
@@ -55,44 +71,39 @@ bool Codec::is_decodable(const std::vector<Fragment>& fragments) const {
 ReedSolomonCodec::ReedSolomonCodec(std::size_t n, std::size_t k)
     : n_(n), k_(k), generator_(systematic_mds_matrix(n, k)) {
   assert(k >= 1 && k <= n && n <= 255);
-}
-
-std::vector<Value> ReedSolomonCodec::stripes(const Value& v) const {
-  const std::size_t stripe_len = (v.size() + k_ - 1) / k_;
-  std::vector<Value> out(k_, Value(stripe_len, 0));
-  for (std::size_t i = 0; i < v.size(); ++i) out[i / stripe_len][i % stripe_len] = v[i];
-  return out;
+  std::vector<std::size_t> parity_rows(n - k);
+  for (std::size_t r = k; r < n; ++r) parity_rows[r - k] = r;
+  parity_ = generator_.select_rows(parity_rows);
 }
 
 std::vector<Fragment> ReedSolomonCodec::encode(const Value& v) const {
-  const auto in = stripes(v);
-  const auto coded = generator_.apply(in);
+  const std::size_t len = (v.size() + k_ - 1) / k_;
+  Value pad;
+  const auto in = stripe_rows(v, k_, len, pad);
   std::vector<Fragment> out(n_);
+  std::vector<std::uint8_t*> rows(n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    Value frag(kHeaderBytes + coded[i].size());
-    put_len(frag, v.size());
-    std::copy(coded[i].begin(), coded[i].end(), frag.begin() + kHeaderBytes);
-    out[i] = Fragment{static_cast<std::uint32_t>(i),
-                      std::make_shared<const Value>(std::move(frag))};
+    auto frag = std::make_shared<Value>(kHeaderBytes + len, 0);
+    put_len(*frag, v.size());
+    rows[i] = frag->data() + kHeaderBytes;
+    out[i] = Fragment{static_cast<std::uint32_t>(i), std::move(frag)};
   }
+  // Systematic: the first k fragments are the stripes themselves.
+  for (std::size_t c = 0; c < k_; ++c) std::copy_n(in[c], len, rows[c]);
+  parity_.apply(in.data(), rows.data() + k_, len);
   return out;
 }
 
 Fragment ReedSolomonCodec::encode_one(const Value& v,
                                       std::uint32_t index) const {
   assert(index < n_);
-  const auto in = stripes(v);
-  const std::size_t stripe_len = in.front().size();
-  Value frag(kHeaderBytes + stripe_len, 0);
+  const std::size_t len = (v.size() + k_ - 1) / k_;
+  Value pad;
+  const auto in = stripe_rows(v, k_, len, pad);
+  Value frag(kHeaderBytes + len, 0);
   put_len(frag, v.size());
-  for (std::size_t c = 0; c < k_; ++c) {
-    const GF256::Elem a = generator_.at(index, c);
-    if (a == 0) continue;
-    for (std::size_t j = 0; j < stripe_len; ++j) {
-      frag[kHeaderBytes + j] =
-          GF256::add(frag[kHeaderBytes + j], GF256::mul(a, in[c][j]));
-    }
-  }
+  std::uint8_t* row = frag.data() + kHeaderBytes;
+  generator_.select_rows({index}).apply(in.data(), &row, len);
   return Fragment{index, std::make_shared<const Value>(std::move(frag))};
 }
 
@@ -102,30 +113,33 @@ std::optional<Value> ReedSolomonCodec::decode(
   if (!picked) return std::nullopt;
 
   std::vector<std::size_t> rows(k_);
-  std::vector<std::vector<std::uint8_t>> payloads(k_);
-  std::size_t stripe_len = 0;
+  std::vector<const std::uint8_t*> in(k_);
+  std::size_t len = 0;
   std::uint64_t orig_len = 0;
   for (std::size_t i = 0; i < k_; ++i) {
-    const auto& f = (*picked)[i];
-    if (f.data->size() < kHeaderBytes) return std::nullopt;
-    rows[i] = f.index;
-    payloads[i].assign(f.data->begin() + kHeaderBytes, f.data->end());
+    const Value& f = *(*picked)[i].data;
+    if (f.size() < kHeaderBytes) return std::nullopt;
+    rows[i] = (*picked)[i].index;
+    in[i] = f.data() + kHeaderBytes;
     if (i == 0) {
-      stripe_len = payloads[i].size();
-      orig_len = get_len(*f.data);
-    } else if (payloads[i].size() != stripe_len || get_len(*f.data) != orig_len) {
+      len = f.size() - kHeaderBytes;
+      orig_len = get_len(f);
+    } else if (f.size() - kHeaderBytes != len || get_len(f) != orig_len) {
       return std::nullopt;  // inconsistent fragment set
     }
   }
+  // Fragments come from peers: a forged length header must not reach past
+  // the k stripes the payloads actually hold.
+  if (orig_len > k_ * len) return std::nullopt;
 
   auto sub_inv = generator_.select_rows(rows).inverse();
   if (!sub_inv) return std::nullopt;  // cannot happen for an MDS generator
-  const auto recovered = sub_inv->apply(payloads);
-
-  Value v(orig_len);
-  for (std::size_t i = 0; i < orig_len; ++i) {
-    v[i] = recovered[i / stripe_len][i % stripe_len];
-  }
+  // The stripes are recovered straight into the value, then the padding cut.
+  Value v(k_ * len);
+  std::vector<std::uint8_t*> out(k_);
+  for (std::size_t c = 0; c < k_; ++c) out[c] = v.data() + c * len;
+  sub_inv->apply(in.data(), out.data(), len);
+  v.resize(orig_len);
   return v;
 }
 

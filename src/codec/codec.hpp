@@ -65,11 +65,10 @@ class ReedSolomonCodec final : public Codec {
       const std::vector<Fragment>& fragments) const override;
 
  private:
-  [[nodiscard]] std::vector<Value> stripes(const Value& v) const;
-
   std::size_t n_;
   std::size_t k_;
   Matrix generator_;  // n x k systematic MDS matrix
+  Matrix parity_;     // its rows k..n-1
 };
 
 /// Replication as an [n, 1] code: every "fragment" is the full value.

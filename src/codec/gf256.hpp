@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace ares::codec {
@@ -31,6 +32,13 @@ class GF256 {
   /// a^e (e >= 0).
   [[nodiscard]] static Elem pow(Elem a, unsigned e);
 
+  /// dst[i] ^= c * src[i] for i in [0, len): the codec's only bulk
+  /// operation. c == 0 skips the region and c == 1 is a plain XOR; any other
+  /// c runs the split-nibble AVX2 kernel when the CPU has AVX2 (checked once,
+  /// at run time) and the portable product-row kernel otherwise.
+  static void mul_add_region(Elem c, const Elem* src, Elem* dst,
+                             std::size_t len);
+
  private:
   struct Tables {
     // exp has 510 entries so mul can skip the mod-255 reduction.
@@ -39,5 +47,16 @@ class GF256 {
   };
   static const Tables& tables();
 };
+
+/// The kernels behind GF256::mul_add_region, exposed so tests and benches
+/// can reach each one whatever the dispatch picks. Both handle every c.
+namespace detail {
+using RegionKernel = void (*)(GF256::Elem c, const GF256::Elem* src,
+                              GF256::Elem* dst, std::size_t len);
+void mul_add_region_portable(GF256::Elem c, const GF256::Elem* src,
+                             GF256::Elem* dst, std::size_t len);
+/// The AVX2 kernel, or nullptr where this build or CPU cannot run it.
+[[nodiscard]] RegionKernel avx2_kernel();
+}  // namespace detail
 
 }  // namespace ares::codec

@@ -1,5 +1,6 @@
 #include "codec/matrix.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ares::codec {
@@ -25,25 +26,14 @@ Matrix Matrix::mul(const Matrix& rhs) const {
   return out;
 }
 
-std::vector<std::vector<std::uint8_t>> Matrix::apply(
-    const std::vector<std::vector<std::uint8_t>>& vecs) const {
-  assert(vecs.size() == cols_);
-  const std::size_t len = vecs.empty() ? 0 : vecs.front().size();
-  std::vector<std::vector<std::uint8_t>> out(
-      rows_, std::vector<std::uint8_t>(len, 0));
+void Matrix::apply(const std::uint8_t* const* in, std::uint8_t* const* out,
+                   std::size_t len) const {
   for (std::size_t r = 0; r < rows_; ++r) {
+    std::fill_n(out[r], len, 0);
     for (std::size_t c = 0; c < cols_; ++c) {
-      const GF256::Elem a = at(r, c);
-      if (a == 0) continue;
-      assert(vecs[c].size() == len);
-      auto& dst = out[r];
-      const auto& src = vecs[c];
-      for (std::size_t j = 0; j < len; ++j) {
-        dst[j] = GF256::add(dst[j], GF256::mul(a, src[j]));
-      }
+      GF256::mul_add_region(at(r, c), in[c], out[r], len);
     }
   }
-  return out;
 }
 
 std::optional<Matrix> Matrix::inverse() const {

@@ -29,12 +29,11 @@ class Matrix {
   /// this * rhs. Requires cols() == rhs.rows().
   [[nodiscard]] Matrix mul(const Matrix& rhs) const;
 
-  /// Matrix-vector product applied to a span of column vectors laid out as
-  /// rows of `vecs` (each row is one input symbol stream). Specifically:
-  /// out[r][j] = sum_c at(r,c) * vecs[c][j]. All rows of `vecs` must share
-  /// the same length.
-  [[nodiscard]] std::vector<std::vector<std::uint8_t>> apply(
-      const std::vector<std::vector<std::uint8_t>>& vecs) const;
+  /// Multiplies this matrix into `len`-byte symbol streams:
+  /// out[r][j] = sum_c at(r,c) * in[c][j], for cols() input rows and rows()
+  /// output rows. Output rows are overwritten and must not alias inputs.
+  void apply(const std::uint8_t* const* in, std::uint8_t* const* out,
+             std::size_t len) const;
 
   /// Inverse by Gauss-Jordan elimination; nullopt if singular.
   /// Requires square.

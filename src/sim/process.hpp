@@ -314,12 +314,16 @@ class QuorumCollector {
   }
 
   /// Like wait(), but also completes (with false) after `timeout` time units
-  /// if the predicate has not been satisfied by then.
+  /// if the predicate has not been satisfied by then. The timer holds the
+  /// state weakly, so a satisfied wait whose collector is gone frees its
+  /// reply bodies at once instead of when the timer fires; the timeout
+  /// therefore needs the collector alive until the future completes (as
+  /// every caller that co_awaits it in the collector's scope has).
   Future<bool> wait(std::function<bool(const std::vector<Arrival>&)> pred,
                     Simulator& sim, SimDuration timeout) {
     auto f = wait(std::move(pred));
-    sim.schedule_after(timeout, [inner = inner_] {
-      inner->fulfill_value(false);
+    sim.schedule_after(timeout, [weak = std::weak_ptr<Inner>(inner_)] {
+      if (auto inner = weak.lock()) inner->fulfill_value(false);
     });
     return f;
   }

@@ -87,6 +87,53 @@ TEST(GF256, PowMatchesRepeatedMul) {
   }
 }
 
+// --- Region kernels vs the scalar reference ---------------------------------
+
+/// The reference: the per-byte scalar loop the region kernels replaced.
+void reference_mul_add(GF256::Elem c, const GF256::Elem* src, GF256::Elem* dst,
+                       std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) {
+    dst[i] = GF256::add(dst[i], GF256::mul(c, src[i]));
+  }
+}
+
+/// Every coefficient, every length 0..97 (both sides of the 32-byte vector
+/// width and its tails), at aligned and misaligned offsets. Bytes around
+/// the region must stay untouched.
+void check_kernel_against_reference(detail::RegionKernel kernel) {
+  const Value src_buf = make_test_value(128, 11);
+  const Value dst_buf = make_test_value(128, 12);
+  const std::pair<std::size_t, std::size_t> offsets[] = {
+      {0, 0}, {1, 3}, {3, 1}, {7, 0}, {0, 13}};
+  for (unsigned c = 0; c < 256; ++c) {
+    const auto e = static_cast<GF256::Elem>(c);
+    for (std::size_t len = 0; len <= 97; ++len) {
+      for (const auto& [so, dof] : offsets) {
+        Value want = dst_buf;
+        Value got = dst_buf;
+        reference_mul_add(e, src_buf.data() + so, want.data() + dof, len);
+        kernel(e, src_buf.data() + so, got.data() + dof, len);
+        ASSERT_EQ(got, want) << "c=" << c << " len=" << len << " src+" << so
+                             << " dst+" << dof;
+      }
+    }
+  }
+}
+
+TEST(GF256Region, PortableKernelMatchesScalarReference) {
+  check_kernel_against_reference(&detail::mul_add_region_portable);
+}
+
+TEST(GF256Region, Avx2KernelMatchesScalarReference) {
+  const detail::RegionKernel avx2 = detail::avx2_kernel();
+  if (avx2 == nullptr) GTEST_SKIP() << "CPU has no AVX2";
+  check_kernel_against_reference(avx2);
+}
+
+TEST(GF256Region, DispatchedRegionMatchesScalarReference) {
+  check_kernel_against_reference(&GF256::mul_add_region);
+}
+
 // --- Matrix ------------------------------------------------------------------
 
 TEST(Matrix, IdentityMultiplication) {
@@ -292,6 +339,103 @@ TEST(RsCodec, InconsistentFragmentSetRejected) {
   const auto a = codec.encode(make_test_value(100, 1));
   const auto b = codec.encode(make_test_value(200, 2));  // different length
   EXPECT_FALSE(codec.decode({a[0], b[1]}).has_value());
+}
+
+TEST(RsCodec, LengthHeaderBeyondStripesRejected) {
+  // A forged header claiming more bytes than the k stripes hold must not
+  // read past them.
+  ReedSolomonCodec codec(5, 3);
+  const auto frags = codec.encode(make_test_value(300, 1));  // stripes of 100
+  for (const std::uint64_t forged : {301ull, 1000ull, ~0ull}) {
+    std::vector<Fragment> subset;
+    for (std::size_t i = 0; i < 3; ++i) {
+      Value bytes = *frags[i + 2].data;
+      for (std::size_t b = 0; b < 8; ++b) {
+        bytes[b] = static_cast<std::uint8_t>(forged >> (8 * b));
+      }
+      subset.push_back(Fragment{frags[i + 2].index, make_value(bytes)});
+    }
+    EXPECT_FALSE(codec.decode(subset).has_value()) << "length " << forged;
+  }
+}
+
+TEST(RsCodec, HeaderOnlyFragmentsWithNonzeroLengthRejected) {
+  // Header-only fragments carry empty stripes; a non-zero length over them
+  // is a forgery (and must not divide by the zero stripe length).
+  ReedSolomonCodec codec(5, 3);
+  std::vector<Fragment> subset;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    Value bytes(8, 0);
+    bytes[0] = 5;
+    subset.push_back(Fragment{i + 1, make_value(bytes)});
+  }
+  EXPECT_FALSE(codec.decode(subset).has_value());
+}
+
+/// The reference encoder: the per-byte striping and scalar matrix product
+/// the codec used before its region kernels. Fragment i is the 8-byte LE
+/// length header followed by codeword row i.
+std::vector<Value> reference_encode(const Value& v, std::size_t n,
+                                    std::size_t k) {
+  const Matrix g = systematic_mds_matrix(n, k);
+  const std::size_t len = (v.size() + k - 1) / k;
+  std::vector<Value> stripes(k, Value(len, 0));
+  for (std::size_t i = 0; i < v.size(); ++i) stripes[i / len][i % len] = v[i];
+  std::vector<Value> out(n, Value(8 + len, 0));
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      out[r][b] = static_cast<std::uint8_t>(
+          static_cast<std::uint64_t>(v.size()) >> (8 * b));
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+      reference_mul_add(g.at(r, c), stripes[c].data(), out[r].data() + 8, len);
+    }
+  }
+  return out;
+}
+
+TEST(RsCodec, MatchesScalarReferenceOnRandomShapes) {
+  // Random [n, k] up to n = 20; value sizes at the edges (0, 1, k-1) and
+  // lengths that are not multiples of the 32-byte vector width. Decode is
+  // checked from every k-subset when n <= 7, from random ones otherwise.
+  Rng rng(77);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.uniform(2, 20));
+    const auto k = static_cast<std::size_t>(rng.uniform(1, n));
+    ReedSolomonCodec codec(n, k);
+    const std::size_t sizes[] = {0, 1, k - 1, 31 * k + 5,
+                                 static_cast<std::size_t>(rng.uniform(33, 3000))};
+    for (const std::size_t size : sizes) {
+      const Value v = make_test_value(size, rng.next_u64());
+      const auto want = reference_encode(v, n, k);
+      const auto frags = codec.encode(v);
+      ASSERT_EQ(frags.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(*frags[i].data, want[i])
+            << "[" << n << "," << k << "] size " << size << " fragment " << i;
+        ASSERT_EQ(*codec.encode_one(v, static_cast<std::uint32_t>(i)).data,
+                  want[i]);
+      }
+      std::vector<int> pick(n, 0);
+      std::fill(pick.end() - static_cast<std::ptrdiff_t>(k), pick.end(), 1);
+      for (int subsets = 0; n <= 7 || subsets < 20; ++subsets) {
+        std::vector<Fragment> subset;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (pick[i]) subset.push_back(frags[i]);
+        }
+        const auto decoded = codec.decode(subset);
+        ASSERT_TRUE(decoded.has_value());
+        ASSERT_EQ(*decoded, v) << "[" << n << "," << k << "] size " << size;
+        if (n <= 7) {
+          if (!std::next_permutation(pick.begin(), pick.end())) break;
+        } else {
+          for (std::size_t i = n - 1; i > 0; --i) {
+            std::swap(pick[i], pick[rng.uniform(0, i)]);
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- Replication codec --------------------------------------------------------
