@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <ctime>
+#include <limits>
 
 namespace ares::net {
 
@@ -15,9 +16,12 @@ using std::chrono::steady_clock;
 /// wall clock sits exactly on the next timer's deadline.
 constexpr microseconds kMinSleep{100};
 
-/// Poll ceiling: even with an empty event queue, re-check this often so a
-/// condition-variable wakeup lost to timing can never stall a waiter.
+/// Poll ceiling: even with an empty event queue, re-check this often, so a
+/// predicate that some path outside run() satisfies still gets seen.
 constexpr microseconds kIdleSleep{20'000};
+
+/// The driver's wait_until timeout; it simply waits again when it lapses.
+constexpr SimDuration kDriverSliceUs = 3'600'000'000;
 
 }  // namespace
 
@@ -47,17 +51,29 @@ void NodeRuntime::pump_locked() {
 }
 
 void NodeRuntime::run(const std::function<void()>& fn) {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    sim::Simulator::ScopedCurrent cur(sim_);
-    pump_locked();
-    fn();
-    // Drain the resumptions and same-time sends fn just posted, so e.g. a
-    // reply delivery resumes its waiting coroutine before we hand the lock
-    // back to the socket thread.
-    sim_.run_for(0);
+  std::lock_guard<std::mutex> lk(mu_);
+  sim::Simulator::ScopedCurrent cur(sim_);
+  pump_locked();
+  fn();
+  // Drain the resumptions and same-time sends fn just posted, so e.g. a
+  // reply delivery resumes its waiting coroutine before we hand the lock
+  // back to the socket thread.
+  sim_.run_for(0);
+  wake_waiters_locked();
+}
+
+void NodeRuntime::wake_waiters_locked(const Waiter* self) {
+  if (waiters_.empty()) return;
+  const SimTime next = sim_.pending_events() > 0
+                           ? sim_.next_event_time()
+                           : std::numeric_limits<SimTime>::max();
+  for (Waiter* w : waiters_) {
+    if (w == self || w->notified) continue;
+    if (next < w->wake_at || (*w->pred)()) {
+      w->notified = true;
+      w->cv.notify_one();
+    }
   }
-  cv_.notify_all();
 }
 
 bool NodeRuntime::wait_until(const std::function<bool()>& pred,
@@ -65,8 +81,19 @@ bool NodeRuntime::wait_until(const std::function<bool()>& pred,
   std::unique_lock<std::mutex> lk(mu_);
   sim::Simulator::ScopedCurrent cur(sim_);
   const auto deadline = steady_clock::now() + microseconds(timeout_us);
+  Waiter self;
+  self.pred = &pred;
+  waiters_.push_back(&self);
+  struct Unregister {
+    std::vector<Waiter*>& list;
+    Waiter* w;
+    ~Unregister() { std::erase(list, w); }
+  } unregister{waiters_, &self};
   for (;;) {
     pump_locked();
+    // Timers this pump fired may have satisfied (or re-planned) another
+    // sleeper of this node.
+    wake_waiters_locked(&self);
     if (pred()) return true;
     const auto now = steady_clock::now();
     if (now >= deadline) return false;
@@ -79,7 +106,9 @@ bool NodeRuntime::wait_until(const std::function<bool()>& pred,
     sleep = std::clamp(
         sleep, kMinSleep,
         std::chrono::duration_cast<microseconds>(deadline - now) + kMinSleep);
-    cv_.wait_for(lk, sleep);
+    self.wake_at = wall_floor_ + static_cast<SimTime>(sleep.count());
+    self.notified = false;
+    self.cv.wait_for(lk, sleep);
   }
 }
 
@@ -95,23 +124,13 @@ void NodeRuntime::stop_driver() {
     std::lock_guard<std::mutex> lk(mu_);
     if (!driver_.joinable()) return;
     driver_stop_ = true;
+    wake_waiters_locked();
   }
-  cv_.notify_all();
   driver_.join();
 }
 
 void NodeRuntime::driver_loop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  sim::Simulator::ScopedCurrent cur(sim_);
-  while (!driver_stop_) {
-    pump_locked();
-    auto sleep = kIdleSleep;
-    if (sim_.pending_events() > 0) {
-      const SimTime next = sim_.next_event_time();
-      const SimTime due = next > wall_floor_ ? next - wall_floor_ : 0;
-      sleep = std::min(sleep, microseconds(due));
-    }
-    cv_.wait_for(lk, std::max(sleep, kMinSleep));
+  while (!wait_until([this] { return driver_stop_; }, kDriverSliceUs)) {
   }
 }
 

@@ -20,11 +20,15 @@
 //     single-threaded per node — the concurrency story the code was
 //     written under.
 //   * await(future) blocks a real thread (a client caller) until the future
-//     completes, sleeping on a condition variable between pumps and waking
-//     early when a frame arrives or the next timer falls due.
+//     completes, sleeping on its own condition variable between pumps.
+//   * Wake-ups are predicate-gated: every sleeper registers its predicate
+//     and its planned wake time, and run() (or another sleeper's pump)
+//     wakes it only when its predicate now holds or when a timer now falls
+//     due before that planned wake. A reply that completes no quorum, or
+//     a frame that only touches server state, wakes nobody.
 //   * start_driver() spawns the server-side timer thread: nobody awaits
 //     anything on a server, so someone must pump lease reapers and
-//     retry timers.
+//     retry timers. It is a sleeper whose predicate is "stop requested".
 #pragma once
 
 #include "common/types.hpp"
@@ -38,6 +42,7 @@
 #include <thread>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 namespace ares::net {
 
@@ -127,7 +132,21 @@ class NodeRuntime {
   void stop_driver();
 
  private:
+  /// One thread blocked in wait_until, registered in waiters_ while it
+  /// sleeps. Fields are guarded by mu_.
+  struct Waiter {
+    const std::function<bool()>* pred = nullptr;
+    SimTime wake_at = 0;  // planned wake, virtual-clock µs
+    bool notified = false;
+    std::condition_variable cv;
+  };
+
   void driver_loop();
+
+  /// Notify every sleeper (other than `self`) whose predicate now holds or
+  /// whose planned wake is later than the next pending timer. Caller holds
+  /// mu_.
+  void wake_waiters_locked(const Waiter* self = nullptr);
 
   /// Advance the virtual clock to wall time, firing every due event.
   /// Caller holds mu_ with Simulator::current() == &sim_.
@@ -139,7 +158,7 @@ class NodeRuntime {
 
   sim::Simulator sim_;
   std::mutex mu_;
-  std::condition_variable cv_;
+  std::vector<Waiter*> waiters_;
   SimTime wall_floor_ = 0;
   std::thread driver_;
   bool driver_stop_ = false;

@@ -17,19 +17,25 @@ namespace ares::net {
 
 namespace {
 
-/// Write the whole buffer; MSG_NOSIGNAL so a peer that died mid-write
-/// yields EPIPE instead of killing the process.
-bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
+/// Send data[0..len) until all of it is out or send() stops short: an
+/// error, or (MSG_DONTWAIT in `flags`) a full socket buffer. MSG_NOSIGNAL
+/// so a peer that died mid-write yields EPIPE instead of killing the
+/// process. Returns the bytes written; errno says why it stopped short.
+std::size_t send_some(int fd, const std::uint8_t* data, std::size_t len,
+                      int flags) {
+  std::size_t done = 0;
+  while (done < len) {
+    const ssize_t n =
+        ::send(fd, data + done, len - done, flags | MSG_NOSIGNAL);
+    if (n > 0) {
+      done += static_cast<std::size_t>(n);
+      continue;
     }
-    data += n;
-    len -= static_cast<std::size_t>(n);
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0) errno = EPIPE;
+    break;
   }
-  return true;
+  return done;
 }
 
 bool read_exact(int fd, std::uint8_t* data, std::size_t len) {
@@ -99,6 +105,13 @@ std::optional<Endpoint> AddressBook::find(ProcessId id) const {
 
 // --- TcpTransport ------------------------------------------------------------
 
+TcpTransport::Sock::~Sock() { ::close(fd); }
+
+void TcpTransport::Sock::kill() {
+  dead.store(true);
+  ::shutdown(fd, SHUT_RDWR);
+}
+
 TcpTransport::TcpTransport(NodeRuntime& rt, std::shared_ptr<AddressBook> book)
     : TcpTransport(rt, std::move(book), Options{}) {}
 
@@ -148,43 +161,36 @@ void TcpTransport::stop() {
     listen_fd_ = -1;
   }
 
-  std::vector<std::shared_ptr<Sock>> conns;
-  std::vector<std::thread> readers;
+  std::vector<Conn> conns;
   {
     std::lock_guard<std::mutex> lk(io_mu_);
-    conns = conns_;
-    readers = std::move(readers_);
-    readers_.clear();
+    conns = std::move(conns_);
+    conns_.clear();
     routes_.clear();
   }
-  for (auto& s : conns) {
-    s->dead.store(true);
-    ::shutdown(s->fd, SHUT_RDWR);
-  }
-  for (auto& t : readers) {
-    if (t.joinable()) t.join();
+  // Killing every connection also unblocks a sender stuck mid-write.
+  for (auto& c : conns) c.sock->kill();
+  for (auto& c : conns) {
+    if (c.reader.joinable()) c.reader.join();
   }
 
-  std::unordered_map<ProcessId, std::unique_ptr<Outbox>> boxes;
+  std::vector<Outbox*> boxes;
   {
     std::lock_guard<std::mutex> lk(out_mu_);
-    boxes = std::move(outboxes_);
-    outboxes_.clear();
+    for (auto& [id, box] : outboxes_) boxes.push_back(box.get());
   }
-  for (auto& [id, box] : boxes) {
+  for (Outbox* box : boxes) {
     {
       std::lock_guard<std::mutex> lk(box->mu);
       box->stop = true;
     }
     box->cv.notify_all();
     if (box->th.joinable()) box->th.join();
+    std::lock_guard<std::mutex> lk(box->mu);
+    box->q.clear();
+    box->pinned.reset();
   }
-
-  {
-    std::lock_guard<std::mutex> lk(io_mu_);
-    for (auto& s : conns_) ::close(s->fd);
-    conns_.clear();
-  }
+  // The last references to the connections drop here, closing their fds.
 }
 
 void TcpTransport::register_process(sim::Process& p) {
@@ -243,24 +249,74 @@ void TcpTransport::enqueue(ProcessId to, std::vector<std::uint8_t> frame) {
     std::lock_guard<std::mutex> lk(out_mu_);
     if (!running_.load()) return;
     auto& slot = outboxes_[to];
-    if (!slot) {
-      slot = std::make_unique<Outbox>();
-      slot->th = std::thread(&TcpTransport::sender_loop, this, to, slot.get());
-    }
+    if (!slot) slot = std::make_unique<Outbox>();
     box = slot.get();
   }
+  std::unique_lock<std::mutex> lk(box->mu);
+  if (box->stop) return;
+  std::shared_ptr<Sock> sock;
+  if (!box->writing && box->depth() == 0) sock = live_route(to);
+  if (!sock) {
+    queue_locked(to, *box, Queued{std::move(frame), 0}, /*front=*/false);
+    return;
+  }
+
+  // Nothing is ahead of this frame and a connection is up: write it from
+  // this thread without blocking. `writing` keeps every other frame for
+  // `to` queued behind it meanwhile.
+  box->writing = true;
+  lk.unlock();
+  WriteOutcome out = WriteOutcome::kBlocked;
   {
-    std::lock_guard<std::mutex> lk(box->mu);
-    if (box->stop) return;
-    box->q.push_back(std::move(frame));
-    // Bounded queue: drop the OLDEST while over budget (see Options).
-    while (opt_.max_queue_frames > 0 && box->q.size() > opt_.max_queue_frames) {
-      box->q.pop_front();
-      frames_dropped_overflow_.fetch_add(1, std::memory_order_relaxed);
-      frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+    // Never wait for the connection: its other user may be a sender
+    // thread in a blocking write.
+    std::unique_lock<std::mutex> wl(sock->write_mu, std::try_to_lock);
+    if (wl.owns_lock() && sock->rest.empty()) {
+      frames_inline_.fetch_add(1, std::memory_order_relaxed);
+      out = write_frame(*sock, frame, /*blocking=*/false);
     }
   }
-  box->cv.notify_one();
+  lk.lock();
+  box->writing = false;
+  if (box->stop) return;
+  if (out == WriteOutcome::kPartial) {
+    box->pinned = std::move(sock);
+  } else if (out == WriteOutcome::kBlocked || out == WriteOutcome::kFailed) {
+    // The frame is still whole: it goes back to the head of the queue,
+    // and a failed attempt counts against its replay budget.
+    const int used = out == WriteOutcome::kFailed ? 1 : 0;
+    queue_locked(to, *box, Queued{std::move(frame), used}, /*front=*/true);
+  }
+  // Frames queued behind this one while it was being written wait for
+  // the sender too.
+  if (box->depth() > 0) wake_sender_locked(to, *box);
+}
+
+void TcpTransport::queue_locked(ProcessId dest, Outbox& box, Queued item,
+                                bool front) {
+  if (front) {
+    box.q.push_front(std::move(item));
+  } else {
+    box.q.push_back(std::move(item));
+  }
+  // Bounded queue: drop the OLDEST while over budget (see Options). A
+  // pinned partial frame counts toward the depth but is never dropped:
+  // its prefix is already on the wire.
+  while (opt_.max_queue_frames > 0 && box.depth() > opt_.max_queue_frames &&
+         !box.q.empty()) {
+    box.q.pop_front();
+    frames_dropped_overflow_.fetch_add(1, std::memory_order_relaxed);
+    frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+  }
+  wake_sender_locked(dest, box);
+}
+
+void TcpTransport::wake_sender_locked(ProcessId dest, Outbox& box) {
+  if (box.stop) return;  // stop() joins only a thread that exists by then
+  if (!box.th.joinable()) {
+    box.th = std::thread(&TcpTransport::sender_loop, this, dest, &box);
+  }
+  box.cv.notify_one();
 }
 
 std::size_t TcpTransport::queue_depth(ProcessId dest) const {
@@ -268,68 +324,111 @@ std::size_t TcpTransport::queue_depth(ProcessId dest) const {
   auto it = outboxes_.find(dest);
   if (it == outboxes_.end()) return 0;
   std::lock_guard<std::mutex> qlk(it->second->mu);
-  return it->second->q.size();
+  return it->second->depth();
 }
 
 void TcpTransport::sender_loop(ProcessId dest, Outbox* box) {
+  std::unique_lock<std::mutex> lk(box->mu);
   for (;;) {
-    std::vector<std::uint8_t> frame;
-    {
-      std::unique_lock<std::mutex> lk(box->mu);
-      box->cv.wait(lk, [&] { return box->stop || !box->q.empty(); });
-      if (box->stop) return;
-      frame = std::move(box->q.front());
+    box->cv.wait(lk, [&] {
+      return box->stop || (!box->writing && box->depth() > 0);
+    });
+    if (box->stop) return;
+    box->writing = true;
+    std::shared_ptr<Sock> pinned = std::move(box->pinned);
+    Queued item;
+    if (!pinned) {
+      item = std::move(box->q.front());
       box->q.pop_front();
     }
-    // Reconnect-and-replay: a frame whose write fails (or whose connection
-    // is chaos-reset before the write) is re-offered to a freshly dialed
-    // connection a bounded number of times before being dropped.
-    bool sent = false;
-    for (int attempt = 0; attempt <= opt_.write_replay_attempts; ++attempt) {
-      auto sock = route_or_dial(dest);
-      if (!sock) break;
-      if (attempt > 0) {
-        frames_replayed_.fetch_add(1, std::memory_order_relaxed);
-      }
-      ChaosController::SockFault fault = ChaosController::SockFault::kNone;
-      if (chaos_) fault = chaos_->sock_fault(NodeRuntime::unix_now_us());
-      if (fault == ChaosController::SockFault::kTear) {
-        // Torn frame: write a truncated prefix, then kill the connection.
-        // The peer sees a short read mid-frame and drops the connection;
-        // the frame is consumed (its bytes went out) — liveness comes from
-        // the retransmission layer, not replay.
-        {
-          std::lock_guard<std::mutex> wl(sock->write_mu);
-          (void)write_all(sock->fd, frame.data(), frame.size() / 2);
-        }
-        sock->dead.store(true);
-        ::shutdown(sock->fd, SHUT_RDWR);
-        frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-        sent = true;  // consumed, don't double-count as a queue drop
-        break;
-      }
-      if (fault == ChaosController::SockFault::kReset) {
-        // Connection reset before the frame hit the wire: the frame is
-        // still intact, so it is eligible for replay on a new connection.
-        sock->dead.store(true);
-        ::shutdown(sock->fd, SHUT_RDWR);
-        continue;
-      }
-      bool ok;
-      {
-        std::lock_guard<std::mutex> wl(sock->write_mu);
-        ok = write_all(sock->fd, frame.data(), frame.size());
-      }
-      if (ok) {
-        frames_sent_.fetch_add(1, std::memory_order_relaxed);
-        sent = true;
-        break;
-      }
-      sock->dead.store(true);
-      ::shutdown(sock->fd, SHUT_RDWR);
+    lk.unlock();
+    if (pinned) {
+      std::lock_guard<std::mutex> wl(pinned->write_mu);
+      (void)finish_rest_locked(*pinned);
+    } else {
+      send_queued(dest, std::move(item));
     }
-    if (!sent) frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+    lk.lock();
+    box->writing = false;
   }
+}
+
+void TcpTransport::send_queued(ProcessId dest, Queued item) {
+  // Reconnect-and-replay: a frame whose write fails (or whose connection
+  // is chaos-reset before the write) is re-offered to a freshly dialed
+  // connection a bounded number of times before being dropped.
+  for (int attempt = item.attempts; attempt <= opt_.write_replay_attempts;
+       ++attempt) {
+    auto sock = route_or_dial(dest);
+    if (!sock) break;
+    if (attempt > 0) {
+      frames_replayed_.fetch_add(1, std::memory_order_relaxed);
+    }
+    std::lock_guard<std::mutex> wl(sock->write_mu);
+    if (!finish_rest_locked(*sock)) continue;
+    const WriteOutcome out = write_frame(*sock, item.frame, /*blocking=*/true);
+    if (out == WriteOutcome::kSent || out == WriteOutcome::kTorn) return;
+  }
+  frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+}
+
+TcpTransport::WriteOutcome TcpTransport::write_frame(
+    Sock& sock, std::vector<std::uint8_t>& frame, bool blocking) {
+  const int flags = blocking ? 0 : MSG_DONTWAIT;
+  ChaosController::SockFault fault = ChaosController::SockFault::kNone;
+  if (chaos_) fault = chaos_->sock_fault(NodeRuntime::unix_now_us());
+  if (fault == ChaosController::SockFault::kTear) {
+    // Torn frame: write a truncated prefix, then kill the connection. The
+    // peer sees a short read mid-frame and drops the connection; the frame
+    // is consumed (its bytes went out) — liveness comes from the
+    // retransmission layer, not replay.
+    (void)send_some(sock.fd, frame.data(), frame.size() / 2, flags);
+    sock.kill();
+    frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+    return WriteOutcome::kTorn;
+  }
+  if (fault == ChaosController::SockFault::kReset) {
+    // Connection reset before the frame hit the wire: the frame is still
+    // intact, so it is eligible for replay on a new connection.
+    sock.kill();
+    return WriteOutcome::kFailed;
+  }
+  const std::size_t n = send_some(sock.fd, frame.data(), frame.size(), flags);
+  if (n == frame.size()) {
+    frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    return WriteOutcome::kSent;
+  }
+  if (!blocking && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+    if (n == 0) return WriteOutcome::kBlocked;
+    sock.rest.assign(frame.begin() + static_cast<std::ptrdiff_t>(n),
+                     frame.end());
+    return WriteOutcome::kPartial;
+  }
+  // The peer discards a frame cut short by a dead connection, so the whole
+  // frame may be replayed on a new one.
+  sock.kill();
+  return WriteOutcome::kFailed;
+}
+
+bool TcpTransport::finish_rest_locked(Sock& sock) {
+  if (sock.rest.empty()) return true;
+  const bool ok = send_some(sock.fd, sock.rest.data(), sock.rest.size(), 0) ==
+                  sock.rest.size();
+  sock.rest = {};
+  if (ok) {
+    frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  sock.kill();
+  frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
+std::shared_ptr<TcpTransport::Sock> TcpTransport::live_route(ProcessId dest) {
+  std::lock_guard<std::mutex> lk(io_mu_);
+  auto it = routes_.find(dest);
+  if (it == routes_.end() || it->second->dead.load()) return nullptr;
+  return it->second;
 }
 
 std::shared_ptr<TcpTransport::Sock> TcpTransport::route_or_dial(
@@ -398,12 +497,21 @@ std::shared_ptr<TcpTransport::Sock> TcpTransport::route_or_dial(
 
 std::shared_ptr<TcpTransport::Sock> TcpTransport::adopt_fd(int fd) {
   set_nodelay(fd);
-  auto sock = std::make_shared<Sock>();
-  sock->fd = fd;
   std::lock_guard<std::mutex> lk(io_mu_);
   if (!running_.load()) return nullptr;
-  conns_.push_back(sock);
-  readers_.emplace_back(&TcpTransport::reader_loop, this, sock);
+  // Reap the readers of ended connections, so resets and redials leave no
+  // thread or (once the last reference drops) fd behind.
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (it->sock->reader_done) {
+      it->reader.join();
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  auto sock = std::make_shared<Sock>(fd);
+  conns_.push_back(
+      Conn{sock, std::thread(&TcpTransport::reader_loop, this, sock)});
   return sock;
 }
 
@@ -458,12 +566,12 @@ void TcpTransport::reader_loop(std::shared_ptr<Sock> sock) {
     }
     rt_.run([this, &frame] { local_deliver(frame.from, frame.to, frame.body); });
   }
-  sock->dead.store(true);
-  ::shutdown(sock->fd, SHUT_RDWR);
+  sock->kill();
   std::lock_guard<std::mutex> lk(io_mu_);
   for (auto it = routes_.begin(); it != routes_.end();) {
     it = it->second == sock ? routes_.erase(it) : std::next(it);
   }
+  sock->reader_done = true;
 }
 
 void TcpTransport::local_deliver(ProcessId from, ProcessId to,

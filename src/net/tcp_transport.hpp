@@ -8,9 +8,16 @@
 //     are silently dropped after a bounded dial effort — to the sender,
 //     slow and dead stay indistinguishable, exactly the model the
 //     protocols assume.
-//   * Per-destination sender threads: each destination gets its own queue
-//     and thread, so a SIGKILLed server stalls only its own queue while
-//     the rest of a quorum fan-out proceeds at full speed.
+//   * Writes on the sending thread: a frame goes onto the socket from the
+//     thread that sends it (a client's op thread, or a server's reader
+//     thread running the handler) with one non-blocking write, when the
+//     destination has nothing queued, nobody is mid-write toward it and a
+//     live connection exists. Most frames never cross a thread.
+//   * Per-destination sender threads for the slow cases only: dialing, a
+//     backlog, and finishing a frame a full socket buffer cut short. The
+//     thread is spawned on the first frame that actually has to wait, so
+//     a SIGKILLed server stalls only its own queue while the rest of a
+//     quorum fan-out proceeds at full speed.
 //   * Learned routes: listeners never dial. A server answers a client over
 //     the connection the client dialed in on — the frame header's `from`
 //     binds the connection to a peer id on first receipt. Only processes
@@ -144,8 +151,8 @@ class TcpTransport final : public sim::Transport {
     return detector_;
   }
 
-  /// Install the deployment's shared fault script: sender loops consult
-  /// sock_fault() per frame for torn-frame / connection-reset injection.
+  /// Install the deployment's shared fault script: every write attempt
+  /// consults sock_fault() for torn-frame / connection-reset injection.
   /// Call before start().
   void set_chaos(std::shared_ptr<ChaosController> chaos) {
     chaos_ = std::move(chaos);
@@ -170,8 +177,12 @@ class TcpTransport final : public sim::Transport {
   [[nodiscard]] std::uint64_t frames_replayed() const {
     return frames_replayed_;
   }
+  /// Frames whose first write attempt ran on the sending thread instead of
+  /// the destination's sender thread, whatever that attempt's outcome.
+  [[nodiscard]] std::uint64_t frames_inline() const { return frames_inline_; }
 
-  /// Current depth of the sender queue toward `dest` (0 if none exists).
+  /// Current depth of the sender queue toward `dest` (0 if none exists),
+  /// counting a partially written frame whose rest awaits the sender.
   [[nodiscard]] std::size_t queue_depth(ProcessId dest) const;
 
   // --- sim::Transport --------------------------------------------------------
@@ -183,34 +194,107 @@ class TcpTransport final : public sim::Transport {
 
  private:
   /// One TCP connection. A single reader thread owns the receive side; the
-  /// write side is shared by sender threads under write_mu (two outboxes
-  /// may route over one connection when a peer node hosts two processes).
-  /// The fd is closed only in stop(), after every thread that could touch
-  /// it has been joined — readers mark `dead` and shutdown() instead.
+  /// write side is shared under write_mu (two outboxes may route over one
+  /// connection when a peer node hosts two processes). The fd is closed
+  /// when the last reference drops, so a thread still holding a dead Sock
+  /// can never write to a reused descriptor.
   struct Sock {
-    int fd = -1;
+    explicit Sock(int fd) : fd(fd) {}
+    ~Sock();
+    Sock(const Sock&) = delete;
+    Sock& operator=(const Sock&) = delete;
+
+    /// Mark dead and shut both directions down: the reader wakes, writers
+    /// fail fast.
+    void kill();
+
+    const int fd;
     std::mutex write_mu;
     std::atomic<bool> dead{false};
+    /// Unwritten tail of a frame whose non-blocking write stopped part-way
+    /// (guarded by write_mu). Nothing else may go onto this connection
+    /// before it; it is finished here or dropped with the connection,
+    /// never replayed elsewhere.
+    std::vector<std::uint8_t> rest;
+    bool reader_done = false;  // guarded by io_mu_
+  };
+
+  /// A frame waiting for the sender thread, with the number of write
+  /// attempts it has already used (a failed write on the sending thread
+  /// counts against the replay budget).
+  struct Queued {
+    std::vector<std::uint8_t> frame;
+    int attempts = 0;
   };
 
   struct Outbox {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<std::vector<std::uint8_t>> q;
+    std::deque<Queued> q;
+    /// Connection holding a partially written frame of this destination;
+    /// logically the head of the queue.
+    std::shared_ptr<Sock> pinned;
+    /// Some thread is writing a frame toward this destination; whoever
+    /// else has a frame for it must queue, so frames keep their order.
+    bool writing = false;
     bool stop = false;
     std::thread th;
+
+    [[nodiscard]] std::size_t depth() const {
+      return q.size() + (pinned ? 1 : 0);
+    }
+  };
+
+  struct Conn {
+    std::shared_ptr<Sock> sock;
+    std::thread reader;
+  };
+
+  /// Outcome of one write attempt of one frame (see write_frame).
+  enum class WriteOutcome {
+    kSent,     // every byte is on the wire
+    kTorn,     // chaos tore it: a prefix went out, the connection is dead
+    kPartial,  // a full socket buffer cut it short: Sock::rest holds the tail
+    kBlocked,  // a full socket buffer took no byte: the frame is untouched
+    kFailed,   // reset or write error: the frame is intact, replayable
   };
 
   void accept_loop();
   void reader_loop(std::shared_ptr<Sock> sock);
   void sender_loop(ProcessId dest, Outbox* box);
 
+  /// The sender thread's reconnect-and-replay of one queued frame.
+  void send_queued(ProcessId dest, Queued item);
+
+  /// One write attempt of `frame` on `sock`, the only place frames hit a
+  /// socket: consults the chaos script, counts sent/torn frames, and on a
+  /// partial non-blocking write pins the rest to `sock`. Caller holds
+  /// sock.write_mu and sock.rest is empty.
+  WriteOutcome write_frame(Sock& sock, std::vector<std::uint8_t>& frame,
+                           bool blocking);
+
+  /// Finish (blocking) the partial frame pinned to `sock`, if any. Returns
+  /// whether the connection is still usable. Caller holds sock.write_mu.
+  bool finish_rest_locked(Sock& sock);
+
+  /// Append to (or, for a frame whose write was attempted, prepend to) the
+  /// queue, enforce the bound, and wake the sender. Caller holds box.mu.
+  void queue_locked(ProcessId dest, Outbox& box, Queued item, bool front);
+
+  /// Spawn the destination's sender thread on its first queued frame, and
+  /// wake it. Caller holds box.mu.
+  void wake_sender_locked(ProcessId dest, Outbox& box);
+
+  /// The live learned or dialed route to `dest`, or nullptr. Never dials.
+  std::shared_ptr<Sock> live_route(ProcessId dest);
+
   /// The live learned route to `dest`, dialing through the AddressBook if
   /// there is none. Returns nullptr when the destination is unreachable.
   std::shared_ptr<Sock> route_or_dial(ProcessId dest);
 
-  /// Wrap an accepted/dialed fd: registers it and spawns its reader.
-  /// Returns nullptr (caller closes fd) when the transport has stopped.
+  /// Wrap an accepted/dialed fd: registers it and spawns its reader, after
+  /// reaping the readers of connections that have ended. Returns nullptr
+  /// (caller closes fd) when the transport has stopped.
   std::shared_ptr<Sock> adopt_fd(int fd);
 
   void enqueue(ProcessId to, std::vector<std::uint8_t> frame);
@@ -231,9 +315,8 @@ class TcpTransport final : public sim::Transport {
   std::mutex procs_mu_;
   std::unordered_map<ProcessId, sim::Process*> procs_;
 
-  std::mutex io_mu_;  // conns_, readers_, routes_, known_peers_, down_until_
-  std::vector<std::shared_ptr<Sock>> conns_;
-  std::vector<std::thread> readers_;
+  std::mutex io_mu_;  // conns_, routes_, known_peers_, down_until_
+  std::vector<Conn> conns_;
   std::unordered_map<ProcessId, std::shared_ptr<Sock>> routes_;
   /// Destinations that were connected at least once. The generous
   /// first-dial budget (startup race) must never apply to these: a dead
@@ -244,6 +327,8 @@ class TcpTransport final : public sim::Transport {
   std::unordered_map<ProcessId, std::chrono::steady_clock::time_point>
       down_until_;
 
+  /// Outboxes live until destruction (stop() only drains them), so a
+  /// sending thread racing stop() never touches a freed one.
   mutable std::mutex out_mu_;
   std::unordered_map<ProcessId, std::unique_ptr<Outbox>> outboxes_;
 
@@ -256,6 +341,7 @@ class TcpTransport final : public sim::Transport {
   std::atomic<std::uint64_t> frames_dropped_overflow_{0};
   std::atomic<std::uint64_t> frames_fastfailed_{0};
   std::atomic<std::uint64_t> frames_replayed_{0};
+  std::atomic<std::uint64_t> frames_inline_{0};
 };
 
 }  // namespace ares::net

@@ -9,22 +9,18 @@
 // resets, half-open links, refused dials, sender-queue overflow — are
 // TCP-only tests below, plus unit tests for the backoff/jitter schedules.
 #include "net_backends.hpp"
+#include "raw_peer.hpp"
 #include "sim/process.hpp"
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include "dap/messages.hpp"
 
 namespace ares {
 namespace {
@@ -39,6 +35,19 @@ DeployConfig chaos_cfg() {
   DeployConfig cfg;
   cfg.host = kChaosHost;
   return cfg;
+}
+
+/// Frames every transport of a chaos_cfg() deployment (3 servers, 2
+/// clients) wrote on their sending threads.
+std::uint64_t frames_inline(TcpBackend& backend) {
+  std::uint64_t n = 0;
+  for (std::size_t c = 0; c < 2; ++c) {
+    n += backend.cluster().client_transport(c).frames_inline();
+  }
+  for (std::size_t s = 0; s < 3; ++s) {
+    n += backend.cluster().server_transport(s).frames_inline();
+  }
+  return n;
 }
 
 template <typename Backend>
@@ -196,6 +205,7 @@ TEST(ChaosTcpOnly, TornFramesRecover) {
   const auto w0 = backend.write(0, kDefaultObject, value_of("intact"));
   ASSERT_EQ(w0.status, OpStatus::kOk);
 
+  const std::uint64_t inline0 = frames_inline(backend);
   backend.chaos().set_torn_rate(0.10);
   for (int i = 0; i < 4; ++i) {
     const std::string v = "torn-" + std::to_string(i);
@@ -206,6 +216,10 @@ TEST(ChaosTcpOnly, TornFramesRecover) {
     EXPECT_EQ(to_string(r.value), v);
   }
   EXPECT_GT(backend.chaos().frames_torn(), 0u);
+  // The faults landed while frames were being written on their sending
+  // threads (InlineWritesHitSocketFaults pins down that they hit those
+  // writes).
+  EXPECT_GT(frames_inline(backend), inline0);
 
   backend.chaos().set_torn_rate(0);
   expect_atomic(backend.check());
@@ -222,6 +236,7 @@ TEST(ChaosTcpOnly, ConnectionResetsRecover) {
   const auto w0 = backend.write(0, kDefaultObject, value_of("intact"));
   ASSERT_EQ(w0.status, OpStatus::kOk);
 
+  const std::uint64_t inline0 = frames_inline(backend);
   backend.chaos().set_reset_rate(0.15);
   for (int i = 0; i < 4; ++i) {
     const std::string v = "reset-" + std::to_string(i);
@@ -241,8 +256,110 @@ TEST(ChaosTcpOnly, ConnectionResetsRecover) {
     replayed += backend.cluster().server_transport(s).frames_replayed();
   }
   EXPECT_GT(replayed, 0u);
+  EXPECT_GT(frames_inline(backend), inline0);
 
   backend.chaos().set_reset_rate(0);
+  expect_atomic(backend.check());
+}
+
+// Faults strike frames written on the sending thread too: a frame's first
+// write attempt draws from the same chaos script whichever thread makes
+// it, and an inline attempt that is reset counts against the frame's
+// replay budget.
+TEST(ChaosTcpOnly, InlineWritesHitSocketFaults) {
+  RawPeer peer(/*reading=*/true);
+  auto chaos = std::make_shared<net::ChaosController>(3);
+  net::NodeRuntime rt(1);
+  auto book = std::make_shared<net::AddressBook>();
+  book->set(5, net::Endpoint{"127.0.0.1", peer.port()});
+  net::TcpTransport::Options topt;
+  topt.write_replay_attempts = 2;
+  net::TcpTransport tcp(rt, book, topt);
+  tcp.set_chaos(chaos);
+  tcp.start();
+
+  // Send frame `n` and wait until the transport has written `sent`
+  // frames, plus a moment for the sender thread to go idle — the next
+  // frame then finds a live route and nothing queued, so it goes inline.
+  const auto send_and_settle = [&](ObjectId n, std::uint64_t sent) {
+    tcp.send(1, 5, numbered_body(n, 64));
+    const auto end =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (tcp.frames_sent() < sent &&
+           std::chrono::steady_clock::now() < end) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    return tcp.frames_sent() == sent;
+  };
+  ASSERT_TRUE(send_and_settle(0, 1));  // dials via the sender thread
+
+  // Reset: the inline attempt is reset, then the sender thread replays
+  // the frame on fresh connections until the budget is spent.
+  chaos->set_reset_rate(1.0);
+  tcp.send(1, 5, numbered_body(1, 64));
+  EXPECT_EQ(tcp.frames_inline(), 1u);
+  const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (tcp.frames_dropped() == 0 && std::chrono::steady_clock::now() < end) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(tcp.frames_dropped(), 1u);
+  EXPECT_EQ(chaos->frames_reset(), 3u);  // inline attempt + 2 replays
+  EXPECT_EQ(tcp.frames_replayed(), 2u);
+  chaos->set_reset_rate(0);
+
+  // Tear: the inline attempt tears the frame and consumes it on the spot.
+  ASSERT_TRUE(send_and_settle(2, 2));  // redials via the sender thread
+  chaos->set_torn_rate(1.0);
+  tcp.send(1, 5, numbered_body(3, 64));
+  EXPECT_EQ(tcp.frames_inline(), 2u);
+  EXPECT_EQ(chaos->frames_torn(), 1u);
+  EXPECT_EQ(tcp.queue_depth(5), 0u);
+  chaos->set_torn_rate(0);
+  ASSERT_TRUE(send_and_settle(4, 3));
+
+  ASSERT_TRUE(peer.wait_for(3, std::chrono::seconds(5)));
+  std::vector<ObjectId> got;
+  for (const auto& f : peer.frames()) got.push_back(frame_number(f));
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<ObjectId>{0, 2, 4}));
+  EXPECT_EQ(peer.corrupt(), 0u);
+  tcp.stop();
+}
+
+// Resets must not leak connections: an ended connection's reader thread
+// is reaped when the transport adopts its next connection, and the fd
+// closes with the last reference, so the process's open fds stay bounded
+// however many resets and redials a run goes through.
+TEST(ChaosTcpOnly, ResetsLeakNoFds) {
+  DeployConfig cfg = chaos_cfg();
+  cfg.retransmit = true;
+  TcpBackend backend(cfg);
+
+  ASSERT_EQ(backend.write(0, kDefaultObject, value_of("intact")).status,
+            OpStatus::kOk);
+  ASSERT_EQ(backend.read(1, kDefaultObject).status, OpStatus::kOk);
+  const auto open_fds = [] {
+    const std::filesystem::directory_iterator it("/proc/self/fd");
+    return static_cast<std::size_t>(
+        std::distance(std::filesystem::begin(it), std::filesystem::end(it)));
+  };
+  const std::size_t fds0 = open_fds();
+
+  backend.chaos().set_reset_rate(0.2);
+  for (int i = 0; i < 2'000 && backend.chaos().frames_reset() < 120; ++i) {
+    const std::string v = "reset-" + std::to_string(i);
+    ASSERT_EQ(backend.write(0, kDefaultObject, value_of(v)).status,
+              OpStatus::kOk);
+    ASSERT_EQ(backend.read(1, kDefaultObject).status, OpStatus::kOk);
+  }
+  backend.chaos().set_reset_rate(0);
+  ASSERT_GE(backend.chaos().frames_reset(), 100u);
+
+  // Each reset ends one connection, whose two ends both live in this
+  // process. What may remain: the live connections (as before) plus a
+  // few ended ones not yet reaped — far below two fds per reset.
+  EXPECT_LE(open_fds(), fds0 + 24);
   expect_atomic(backend.check());
 }
 
@@ -347,58 +464,64 @@ TEST(ChaosTcpOnly, DeadServersFastFailQuorumUnreachable) {
 }
 
 // The per-destination sender queue is bounded: against a peer that accepts
-// but never reads, the queue truncates at max_queue_frames by dropping the
-// oldest frame (counted), instead of growing without limit.
+// but does not read, the queue truncates at max_queue_frames by dropping the
+// oldest frame (counted), instead of growing without limit. Dropping never
+// touches a frame whose prefix is already on the wire: once the peer reads,
+// every frame it gets is intact and in sending order.
 TEST(ChaosTcpOnly, BoundedSenderQueueDropsOldest) {
-  // A raw listener that accepts one connection and never reads from it.
-  const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(lfd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = 0;
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-  ASSERT_EQ(::listen(lfd, 4), 0);
-  socklen_t alen = sizeof(addr);
-  ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &alen), 0);
-  const std::uint16_t port = ntohs(addr.sin_port);
-
-  std::atomic<bool> stop{false};
-  std::thread acceptor([lfd, &stop] {
-    const int cfd = ::accept(lfd, nullptr, nullptr);
-    while (!stop.load() && cfd >= 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    if (cfd >= 0) ::close(cfd);
-  });
-
+  RawPeer peer(/*reading=*/false);
   net::NodeRuntime rt(1);
   auto book = std::make_shared<net::AddressBook>();
-  book->set(5, net::Endpoint{"127.0.0.1", port});
+  book->set(5, net::Endpoint{"127.0.0.1", peer.port()});
   net::TcpTransport::Options topt;
   topt.max_queue_frames = 8;
   net::TcpTransport tcp(rt, book, topt);
   tcp.start();
 
+  // Frame 0 dials through the sender thread. Once the sender idles, the
+  // next frames are written on this thread until the socket buffers fill
+  // mid-frame, so the bound then engages with a partial frame pinned at
+  // the head of the queue.
+  tcp.send(/*from=*/1, /*to=*/5, numbered_body(0, 65'536));
+  const auto sent0 = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (tcp.frames_sent() == 0 && std::chrono::steady_clock::now() < sent0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
   // 64 KiB frames: a few hundred vastly exceed queue bound + socket
   // buffers, so the enqueue-side bound must engage.
-  auto body = std::make_shared<dap::PutBatchReq>();
-  dap::BatchPutItem item;
-  item.object = kDefaultObject;
-  item.value = std::make_shared<Value>(65'536, std::uint8_t{0x5A});
-  body->items.push_back(item);
-  for (int i = 0; i < 300; ++i) {
-    tcp.send(/*from=*/1, /*to=*/5, body);
+  constexpr ObjectId kFrames = 300;
+  for (ObjectId i = 1; i < kFrames; ++i) {
+    tcp.send(/*from=*/1, /*to=*/5, numbered_body(i, 65'536));
   }
 
+  EXPECT_GT(tcp.frames_inline(), 0u);
   EXPECT_LE(tcp.queue_depth(5), topt.max_queue_frames);
   EXPECT_GT(tcp.frames_dropped_overflow(), 0u);
 
+  peer.start_reading();
+  const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (tcp.frames_sent() + tcp.frames_dropped() < kFrames &&
+         std::chrono::steady_clock::now() < end) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_EQ(tcp.frames_sent() + tcp.frames_dropped(), kFrames);
+  EXPECT_EQ(tcp.frames_dropped(), tcp.frames_dropped_overflow());
+  ASSERT_TRUE(peer.wait_for(tcp.frames_sent(), std::chrono::seconds(10)));
+  const auto frames = peer.frames();
+  EXPECT_EQ(frames.size(), tcp.frames_sent());
+  ObjectId last = 0;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    const ObjectId n = frame_number(frames[i]);
+    ASSERT_NE(n, kNoObject) << "frame " << i << " arrived damaged";
+    if (i > 0) {
+      EXPECT_GT(n, last);
+    }
+    last = n;
+  }
+  EXPECT_EQ(peer.corrupt(), 0u);
   tcp.stop();
-  stop.store(true);
-  ::shutdown(lfd, SHUT_RDWR);
-  ::close(lfd);
-  acceptor.join();
 }
 
 // --- backoff / jitter schedules ----------------------------------------------

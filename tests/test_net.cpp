@@ -5,10 +5,15 @@
 // backend fixtures are shared with the chaos suite (net_backends.hpp);
 // any divergence between the two transports fails here by construction.
 #include "net_backends.hpp"
+#include "raw_peer.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
+#include <thread>
 
 namespace ares {
 namespace {
@@ -173,6 +178,152 @@ TEST(TcpTransportOnly, BatchedReadsOverTcp) {
   // One get-data + one put-back round shared by 4 members, not 4x.
   EXPECT_LE(batch_rounds, 4u);
   expect_atomic(cluster.check_atomicity());
+}
+
+// Poll `cond` every millisecond for up to 5 s.
+template <typename Cond>
+bool eventually(Cond cond) {
+  const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!cond()) {
+    if (std::chrono::steady_clock::now() >= end) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// A frame too large for the socket buffers is cut short by the sending
+// thread's non-blocking write. Its rest stays pinned to that connection
+// ahead of every later frame, so the peer gets every frame intact and in
+// order.
+TEST(TcpTransportOnly, PartialInlineWriteKeepsFrameOrder) {
+  RawPeer peer(/*reading=*/false);
+  net::NodeRuntime rt(1);
+  auto book = std::make_shared<net::AddressBook>();
+  book->set(5, net::Endpoint{"127.0.0.1", peer.port()});
+  net::TcpTransport tcp(rt, book);
+  tcp.start();
+
+  // Frame 0 dials through the sender thread; once it is out and the
+  // sender idles, the connection is a live route.
+  tcp.send(1, 5, numbered_body(0, 64));
+  ASSERT_TRUE(eventually([&] { return tcp.frames_sent() == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  constexpr std::size_t kBig = 8u << 20;
+  for (ObjectId i = 1; i <= 3; ++i) tcp.send(1, 5, numbered_body(i, 64));
+  tcp.send(1, 5, numbered_body(4, kBig));
+  for (ObjectId i = 5; i <= 9; ++i) tcp.send(1, 5, numbered_body(i, 64));
+
+  // Frames 1-4 were written on this thread; 1-3 went out whole, the
+  // 8 MiB one did not fit the stalled peer's buffers, and 5-9 wait
+  // behind its pinned rest.
+  EXPECT_EQ(tcp.frames_inline(), 4u);
+  EXPECT_EQ(tcp.frames_sent(), 4u);
+  EXPECT_GE(tcp.queue_depth(5), 5u);
+
+  peer.start_reading();
+  ASSERT_TRUE(peer.wait_for(10, std::chrono::seconds(10)));
+  const auto frames = peer.frames();
+  ASSERT_EQ(frames.size(), 10u);
+  for (ObjectId i = 0; i < 10; ++i) {
+    EXPECT_EQ(frame_number(frames[i]), i);
+  }
+  EXPECT_EQ(peer.corrupt(), 0u);
+  EXPECT_TRUE(eventually([&] { return tcp.frames_sent() == 10; }));
+  EXPECT_EQ(tcp.frames_dropped(), 0u);
+  tcp.stop();
+}
+
+// --- NodeRuntime wake-ups ----------------------------------------------------
+//
+// Sleepers wake only when they have work, so each test checks that a
+// sleeper which *does* have work is woken promptly: a sleeper left to its
+// idle poll (up to 20 ms) fails these most of the time.
+
+constexpr int kTrials = 10;
+constexpr SimDuration kPromptUs = 3'000;
+
+// A sleeper whose predicate run() on another thread satisfies returns
+// within a few ms, although it sleeps toward a far timer.
+TEST(NodeRuntimeWakeups, SatisfiedPredicateWakesSleeper) {
+  net::NodeRuntime rt(1);
+  int late = 0;
+  for (int t = 0; t < kTrials; ++t) {
+    bool flag = false;  // guarded by the node lock
+    SimTime set_at = 0;
+    rt.run([&] { rt.simulator().schedule_after(10'000'000, [] {}); });
+    std::thread setter([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      rt.run([&] {
+        flag = true;
+        set_at = net::NodeRuntime::unix_now_us();
+      });
+    });
+    ASSERT_TRUE(rt.wait_until([&] { return flag; }, 5'000'000));
+    const SimTime woke = net::NodeRuntime::unix_now_us();
+    setter.join();
+    if (woke - set_at > kPromptUs) ++late;
+  }
+  EXPECT_LE(late, 2);
+}
+
+// A timer run() posts earlier than a client sleeper's planned wake fires
+// on time: the sleeper re-plans instead of oversleeping.
+TEST(NodeRuntimeWakeups, EarlierTimerWakesClientWaiter) {
+  net::NodeRuntime rt(1);
+  int late = 0;
+  for (int t = 0; t < kTrials; ++t) {
+    bool fired = false;  // these three are guarded by the node lock
+    SimTime due = 0;
+    SimTime fired_at = 0;
+    std::thread poster([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      rt.run([&] {
+        due = rt.simulator().now() + 2'000;
+        rt.simulator().schedule_at(due, [&] {
+          fired = true;
+          fired_at = net::NodeRuntime::unix_now_us();
+        });
+      });
+    });
+    ASSERT_TRUE(rt.wait_until([&] { return fired; }, 5'000'000));
+    poster.join();
+    if (fired_at - due > kPromptUs) ++late;
+  }
+  EXPECT_LE(late, 2);
+}
+
+// The same for a server's timer driver, which nobody awaits.
+TEST(NodeRuntimeWakeups, EarlierTimerWakesDriver) {
+  std::mutex m;
+  std::condition_variable cv;
+  bool fired = false;  // guarded by m
+  SimTime due = 0;
+  SimTime fired_at = 0;
+  net::NodeRuntime rt(1);
+  rt.start_driver();
+  int late = 0;
+  for (int t = 0; t < kTrials; ++t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    {
+      std::lock_guard<std::mutex> lk(m);
+      fired = false;
+    }
+    rt.run([&] {
+      due = rt.simulator().now() + 2'000;
+      rt.simulator().schedule_at(due, [&] {
+        std::lock_guard<std::mutex> lk(m);
+        fired = true;
+        fired_at = net::NodeRuntime::unix_now_us();
+        cv.notify_one();
+      });
+    });
+    std::unique_lock<std::mutex> lk(m);
+    ASSERT_TRUE(cv.wait_for(lk, std::chrono::seconds(5), [&] { return fired; }));
+    if (fired_at - due > kPromptUs) ++late;
+  }
+  rt.stop_driver();
+  EXPECT_LE(late, 2);
 }
 
 }  // namespace
