@@ -27,8 +27,8 @@ class AresStore final : public Store {
                                                dap::ConfigSpec spec) override;
 
   /// Real batching: members sharing a configuration cost one multi-object
-  /// quorum round per phase (see AresClient::read_batch / write_batch);
-  /// diverging members fall back to per-object Alg.-7 ops.
+  /// quorum round per phase (see AresClient::read_batch / write_batch); a
+  /// one-member round sends that member's scalar frames.
   [[nodiscard]] sim::Future<std::vector<OpResult>> read_many(
       std::span<const ObjectId> objs) override;
   [[nodiscard]] sim::Future<std::vector<OpResult>> write_many(

@@ -118,12 +118,13 @@ sim::Future<std::vector<OpResult>> StaticStore::write_many(
 }
 
 // The batch orchestration below deliberately parallels (not shares with)
-// AresClient::read_batch/write_batch: the static stack has no
-// reconfiguration machinery, so the hint absorption, demotion and post-put
-// config-check steps disappear, and a shared helper would need
-// callback-parameterized coroutines — exactly the capturing-lambda shape
-// this codebase bans (CP.51 / the GCC-12 note in sim/coro.hpp). When the
-// semifast elision rule changes, change it in both places.
+// the single Algorithm-7 pipeline of AresClient (run_group): the static
+// stack has no reconfiguration machinery, so the hint absorption,
+// re-traversal and post-put config-check steps disappear, and a shared
+// helper would need callback-parameterized coroutines — exactly the
+// capturing-lambda shape this codebase bans (CP.51 / the GCC-12 note in
+// sim/coro.hpp). When the semifast elision rule changes, change it here
+// and in AresClient::run_group.
 sim::Future<std::vector<OpResult>> StaticStore::read_many_impl(
     std::span<const ObjectId> objs) {
   if (!dap::batch_capable(client_.spec())) {

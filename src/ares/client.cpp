@@ -5,10 +5,11 @@
 #include "dap/factory.hpp"
 #include "storage/messages.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
-#include <set>
 #include <stdexcept>
+#include <type_traits>
 
 namespace ares::reconfig {
 namespace {
@@ -296,9 +297,18 @@ bool AresClient::try_lease_read(ObjectId obj, TagValue& out) {
   return true;
 }
 
-void AresClient::install_lease(ObjectId obj, ConfigId cfg, TagValue tv,
-                               SimTime expiry) {
+void AresClient::install_lease(ObjectId obj, ConfigId cfg,
+                               const TagValue& tv, SimTime expiry) {
   ObjectState& st = obj_state(obj);
+  // Callers install once the pair is quorum-resident (confirmed by the
+  // query, or put by the operation itself). The steady state the grants
+  // were minted in must still hold: the sequence synced and exactly the
+  // granting configuration — any successor revealed meanwhile poisoned
+  // the premise.
+  if (!fast_path_ || expiry == 0 || !st.synced || mu(obj) != nu(obj) ||
+      st.cseq.back().cfg != cfg) {
+    return;
+  }
   // Install fence: a server invalidated tag f for this configuration while
   // our quorum round (whose grants predate the invalidation) was still in
   // flight — the invalidating write may already be complete, so only a
@@ -415,681 +425,479 @@ sim::Future<void> AresClient::ensure_config(ObjectId obj) {
 
 // ---------------------------------------------------------------------------
 // Read / write operations (Algorithm 7, with the steady-state fast path)
+//
+// One pipeline serves scalar and batched operations (see the class
+// comment): run_ops serves leases and resolves configurations, run_group
+// runs Algorithm 7 once per group of members sharing cseq[µ..ν], and
+// query_round / put_round issue every data round.
 // ---------------------------------------------------------------------------
+
+struct AresClient::QueryRound {
+  AresClient* client = nullptr;
+  ConfigId cfg = kNoConfig;
+  std::vector<ObjectId> objs;
+  bool tags_only = false;
+  sim::Future<Tag> tag{};                  // one member, get-tag
+  sim::Future<dap::GetDataResult> data{};  // one member, get-data
+  sim::Future<std::vector<dap::BatchQueryItem>> batch{};  // two or more
+
+  bool await_ready() const noexcept {
+    return tag.ready() || data.ready() || batch.ready();
+  }
+  void await_suspend(std::coroutine_handle<> h) {
+    if (tag.valid()) return tag.await_suspend(h);
+    if (data.valid()) return data.await_suspend(h);
+    batch.await_suspend(h);
+  }
+  std::vector<dap::GetDataResult> await_resume();
+};
+
+std::vector<dap::GetDataResult> AresClient::QueryRound::await_resume() {
+  if (tag.valid()) return {dap::GetDataResult{{tag.await_resume(), nullptr}}};
+  if (data.valid()) return {data.await_resume()};
+  // A scalar reply's piggybacked nextC reaches note_config_hint on
+  // arrival; a batch reply carries one per member, absorbed here.
+  std::vector<dap::BatchQueryItem> items = batch.await_resume();
+  for (std::size_t j = 0; j < items.size(); ++j) {
+    if (items[j].next_c.valid()) {
+      client->note_config_hint(cfg, objs[j], items[j].next_c);
+    }
+  }
+  const bool semifast = client->registry_.get(cfg).semifast;
+  std::vector<dap::GetDataResult> out(items.size());
+  for (std::size_t j = 0; j < items.size(); ++j) {
+    out[j].tv = TagValue{items[j].tag, items[j].value};
+    out[j].lease_expiry = items[j].lease_expiry;
+    // The confirmation rule of the scalar get-data (one confirming server
+    // suffices; see AbdDap::get_data_confirmed).
+    out[j].confirmed =
+        !tags_only && semifast && items[j].confirmed >= items[j].tag;
+    if (out[j].confirmed) {
+      client->dap_for(objs[j], cfg)->note_confirmed(items[j].tag);
+    }
+  }
+  return out;
+}
+
+struct AresClient::PutRound {
+  AresClient* client = nullptr;
+  ConfigId cfg = kNoConfig;
+  std::vector<dap::BatchPutItem> items;
+  sim::Future<void> plain{};                 // one member, write-back
+  sim::Future<dap::PutDataResult> leased{};  // one member, write
+  sim::Future<dap::BatchPutResult> batch{};  // two or more
+
+  bool await_ready() const noexcept {
+    return plain.ready() || leased.ready() || batch.ready();
+  }
+  void await_suspend(std::coroutine_handle<> h) {
+    if (plain.valid()) return plain.await_suspend(h);
+    if (leased.valid()) return leased.await_suspend(h);
+    batch.await_suspend(h);
+  }
+  std::vector<SimTime> await_resume();
+};
+
+std::vector<SimTime> AresClient::PutRound::await_resume() {
+  if (plain.valid()) {
+    plain.await_resume();
+    return {0};
+  }
+  if (leased.valid()) return {leased.await_resume().lease_expiry};
+  dap::BatchPutResult ack = batch.await_resume();
+  for (std::size_t j = 0; j < items.size(); ++j) {
+    if (ack.next_cs[j].valid()) {
+      client->note_config_hint(cfg, items[j].object, ack.next_cs[j]);
+    }
+    // Quorum-propagated now: remember it, as the scalar put-data does.
+    client->dap_for(items[j].object, cfg)->note_confirmed(items[j].tag);
+  }
+  return std::move(ack.lease_expiries);
+}
+
+AresClient::QueryRound AresClient::query_round(ConfigId cfg,
+                                               std::vector<ObjectId> objs,
+                                               bool tags_only,
+                                               bool want_lease) {
+  QueryRound r{this, cfg, std::move(objs), tags_only};
+  if (r.objs.size() == 1) {
+    const auto& dap = dap_for(r.objs.front(), cfg);
+    if (tags_only) {
+      r.tag = dap->get_tag();
+    } else {
+      r.data = dap->get_data_confirmed(want_lease);
+    }
+    return r;
+  }
+  std::vector<Tag> hints;
+  for (ObjectId o : r.objs) hints.push_back(dap_for(o, cfg)->confirmed_tag());
+  r.batch = dap::batch_get_data(*this, registry_.get(cfg), r.objs, tags_only,
+                                std::move(hints), want_lease);
+  return r;
+}
+
+AresClient::PutRound AresClient::put_round(ConfigId cfg,
+                                           std::vector<dap::BatchPutItem> items,
+                                           bool write, bool want_lease) {
+  PutRound r{this, cfg, std::move(items)};
+  if (r.items.size() == 1) {
+    const auto& dap = dap_for(r.items.front().object, cfg);
+    TagValue tv{r.items.front().tag, r.items.front().value};
+    if (write) {
+      r.leased = dap->put_data_leased(tv, want_lease);
+    } else {
+      r.plain = dap->put_data(tv);
+    }
+    return r;
+  }
+  r.batch = dap::batch_put_data(*this, registry_.get(cfg), r.items, want_lease);
+  return r;
+}
+
+std::vector<std::vector<std::size_t>> AresClient::group_members(
+    const std::vector<ObjectId>& objs,
+    const std::vector<std::size_t>& members) {
+  if (members.size() < 2) return {members};
+  std::vector<std::vector<std::size_t>> groups;
+  std::map<std::vector<ConfigId>, std::size_t> shared;  // list -> group
+  for (std::size_t k : members) {
+    const ObjectId obj = objs[k];
+    std::vector<ConfigId> list;
+    bool batchable = true;
+    for (std::size_t i = mu(obj); i <= nu(obj); ++i) {
+      list.push_back(cseq(obj)[i].cfg);
+      batchable = batchable && dap::batch_capable(registry_.get(list.back()));
+    }
+    auto it = shared.find(list);
+    if (batchable && it != shared.end() &&
+        std::none_of(groups[it->second].begin(), groups[it->second].end(),
+                     [&](std::size_t g) { return objs[g] == obj; })) {
+      groups[it->second].push_back(k);
+      continue;
+    }
+    if (batchable && it == shared.end()) shared.emplace(list, groups.size());
+    groups.push_back({k});
+  }
+  return groups;
+}
+
+template <typename Result>
+sim::Future<Result> AresClient::run_ops(std::vector<ObjectId> objs,
+                                        std::vector<ValuePtr> values) {
+  constexpr bool write = !std::is_same_v<Result, std::vector<TagValue>>;
+  std::vector<std::uint64_t> rec(objs.size(), 0);
+  std::vector<std::size_t> first(objs.size());  // first slot of the object
+  std::vector<std::size_t> pending;  // a repeated read shares its first slot
+  InflightGuards guard;
+  for (std::size_t i = 0; i < objs.size(); ++i) {
+    ObjectState& st = obj_state(objs[i]);  // lazily bind to the default c0
+    trim_cseq(objs[i]);
+    first[i] = static_cast<std::size_t>(
+        std::find(objs.begin(), objs.end(), objs[i]) - objs.begin());
+    if (first[i] == i) guard.hold(st.inflight);
+    if (write || first[i] == i) pending.push_back(i);
+    // An own write outdates any locally cached pair: the servers' settle
+    // gates exclude the writer itself, so the writer revokes its own lease.
+    if (write) poison_lease(objs[i]);
+    if (recorder_ != nullptr) {
+      rec[i] = recorder_->begin(
+          id(), write ? checker::OpKind::kWrite : checker::OpKind::kRead,
+          simulator().now(), objs[i]);
+    }
+  }
+
+  std::vector<TagValue> got(objs.size());
+  while (!pending.empty()) {
+    // Lease fast path: a valid window serves a read locally — zero quorum
+    // rounds, zero messages — and keeps it out of every round below.
+    std::vector<std::size_t> quorum;
+    for (std::size_t i : pending) {
+      if (write || !try_lease_read(objs[i], got[i])) quorum.push_back(i);
+    }
+    if (quorum.empty()) break;
+    for (std::size_t i : quorum) {
+      if (first[i] == i) co_await ensure_config(objs[i]);
+    }
+    std::vector<ObjectId> qobjs;
+    std::vector<ValuePtr> qvalues;
+    std::vector<std::uint64_t> qrecs;
+    for (std::size_t i : quorum) {
+      qobjs.push_back(objs[i]);
+      if (write) {
+        qvalues.push_back(values[i]);
+        qrecs.push_back(rec[i]);
+      }
+    }
+    // Retirement retry shell (reads; writes recover inside run_group): a
+    // quorum round may bounce off garbage-collected state at any suspension
+    // point; reads are side-effect free up to their write-back, so
+    // re-running them after a re-sync is always sound.
+    bool retired = false;
+    try {
+      auto run = run_group(write, std::move(qobjs), std::move(qvalues),
+                           std::move(qrecs));
+      std::vector<TagValue> pairs = co_await run;
+      for (std::size_t j = 0; j < quorum.size(); ++j) got[quorum[j]] = pairs[j];
+    } catch (const sim::ConfigRetired&) {
+      retired = true;
+    }
+    pending.clear();
+    if (!retired) break;
+    for (std::size_t i : quorum) {
+      auto rs = resync_after_retire(objs[i]);
+      co_await rs;
+      pending.push_back(i);
+    }
+  }
+
+  for (std::size_t i = 0; i < objs.size(); ++i) {
+    if (!write) got[i] = got[first[i]];
+    if (recorder_ != nullptr) {
+      recorder_->end(rec[i], simulator().now(), got[i].tag, got[i].value);
+    }
+  }
+  if constexpr (std::is_same_v<Result, Tag>) {
+    co_return got.front().tag;
+  } else if constexpr (write) {
+    Result tags;
+    for (const TagValue& tv : got) tags.push_back(tv.tag);
+    co_return tags;
+  } else {
+    co_return got;
+  }
+}
+
+// A scalar read awaits read_batch from a frame of its own; a scalar write
+// returns run_ops' Future itself. Every coroutine frame a completion passes
+// through is one more posted resumption, which orders same-instant events
+// in the simulator, so these frame counts are part of the deterministic
+// schedule (fuzz schedule hashes, sim-bench counts).
+sim::Future<TagValue> AresClient::read(ObjectId obj) {
+  auto batch = read_batch({obj});
+  std::vector<TagValue> out = co_await batch;
+  co_return out.front();
+}
 
 sim::Future<Tag> AresClient::write(ObjectId obj, ValuePtr value) {
-  ObjectState& st = obj_state(obj);  // lazily bind to the default c0
-  trim_cseq(obj);
-  InflightGuards guard;
-  guard.hold(st.inflight);
-  std::uint64_t op = 0;
-  if (recorder_ != nullptr) {
-    op = recorder_->begin(id(), checker::OpKind::kWrite, simulator().now(),
-                          obj);
-  }
-  auto core = write_core(obj, value, op);
-  const Tag tw = co_await core;
-  if (recorder_ != nullptr) {
-    recorder_->end(op, simulator().now(), tw, value);
-  }
-  co_return tw;
+  return run_ops<Tag>({obj}, {std::move(value)});
 }
 
-sim::Future<Tag> AresClient::write_core(ObjectId obj, ValuePtr value,
-                                        std::uint64_t op) {
-  (void)obj_state(obj);  // lazily bind to the default c0 on first use
-  // An own write outdates any locally cached pair: the servers' settle
-  // gates exclude the writer itself, so the writer revokes its own lease.
-  poison_lease(obj);
+sim::Future<std::vector<TagValue>> AresClient::read_batch(
+    std::vector<ObjectId> objs) {
+  return run_ops<std::vector<TagValue>>(std::move(objs), {});
+}
 
-  // Max tag across configurations µ..ν. If a piggybacked hint reveals a
-  // successor mid-phase, re-traverse and re-run so tmax covers it; if a
-  // quorum round bounces off garbage-collected state, re-sync and retry
-  // wholesale — no tag has been recorded yet, so a fresh choice is sound.
-  Tag tmax = kInitialTag;
-  std::size_t v = 0;
-  for (;;) {
+sim::Future<std::vector<Tag>> AresClient::write_batch(
+    std::vector<ObjectId> objs, std::vector<ValuePtr> values) {
+  assert(objs.size() == values.size());
+  return run_ops<std::vector<Tag>>(std::move(objs), std::move(values));
+}
+
+sim::Future<std::vector<TagValue>> AresClient::run_group(
+    bool write, std::vector<ObjectId> objs, std::vector<ValuePtr> values,
+    std::vector<std::uint64_t> recs) {
+  struct Member {
+    TagValue pair;  // the pair read, or the pair written
+    bool confirmed = false;
+    bool noted = false;  // a write whose tag is recorded history
+    bool done = false;
+    SimTime lease_expiry = 0;  // grant window to install, 0 = none
+    ConfigId lease_cfg = kNoConfig;
+  };
+  std::vector<Member> m(objs.size());
+  // Work items, run in order: members to run together. A member whose ν
+  // moved, or whose write bounced before it chose a tag, comes back as an
+  // item of its own.
+  std::vector<std::vector<std::size_t>> work(1);
+  for (std::size_t k = 0; k < objs.size(); ++k) work[0].push_back(k);
+  for (std::size_t w = 0; w < work.size(); ++w) {
+    // Group the item by current cseq[µ..ν] (a hint may have moved a member
+    // since it was queued); run the first group, queue the rest next.
+    std::vector<std::vector<std::size_t>> groups = group_members(objs, work[w]);
+    work.insert(work.begin() + static_cast<std::ptrdiff_t>(w) + 1,
+                groups.begin() + 1, groups.end());
+    const std::vector<std::size_t> item = std::move(groups.front());
+    std::vector<ObjectId> iobjs;
+    for (std::size_t k : item) iobjs.push_back(objs[k]);
     bool retired = false;
     try {
-      co_await ensure_config(obj);
-      for (;;) {
-        const std::size_t m = mu(obj);
-        v = nu(obj);
-        tmax = kInitialTag;
-        for (std::size_t i = m; i <= v; ++i) {
-          tmax =
-              std::max(tmax, co_await dap_for(obj, cseq(obj)[i].cfg)->get_tag());
+      // Query every configuration µ..ν for the max tag (write) or the max
+      // tag-value pair (read).
+      std::vector<ConfigId> list;
+      for (std::size_t i = mu(iobjs[0]); i <= nu(iobjs[0]); ++i) {
+        list.push_back(cseq(iobjs[0])[i].cfg);
+      }
+      for (std::size_t k : item) m[k] = Member{};
+      for (ConfigId c : list) {
+        // Ask for grants only when the whole sequence is this one
+        // configuration — the settle gates of a superseded configuration
+        // do not cover writes landing in its successors, and a grant the
+        // client cannot install would still stall later writers.
+        const bool want_lease = !write && fast_path_ && list.size() == 1;
+        auto round = query_round(c, iobjs, write, want_lease);
+        const std::vector<dap::GetDataResult> rs = co_await round;
+        for (std::size_t j = 0; j < item.size(); ++j) {
+          const std::size_t k = item[j];
+          if (write) {
+            m[k].pair.tag = std::max(m[k].pair.tag, rs[j].tv.tag);
+          } else if (rs[j].tv.tag > m[k].pair.tag || !m[k].pair.value) {
+            m[k].pair = rs[j].tv;
+            m[k].confirmed = rs[j].confirmed;
+          }
+          if (want_lease) {
+            m[k].lease_expiry = rs[j].lease_expiry;
+            m[k].lease_cfg = c;
+          }
         }
-        if (nu(obj) == v) break;
-        co_await read_config(obj);
+      }
+
+      // Members whose ν moved (a piggybacked hint revealed a successor)
+      // re-traverse and re-run after the others; those choose what to put.
+      std::vector<std::size_t> moved;
+      std::vector<std::size_t> put;
+      for (std::size_t k : item) {
+        if (cseq(objs[k]).back().cfg != list.back()) {
+          moved.push_back(k);
+          continue;
+        }
+        if (write) {
+          m[k].pair = TagValue{m[k].pair.tag.next(id()), values[k]};
+          // Record the tag pre-put: a crashed writer's value may surface.
+          if (recorder_ != nullptr) {
+            recorder_->note_write_tag(recs[k], m[k].pair.tag, values[k]);
+          }
+          m[k].noted = true;
+          put.push_back(k);
+          continue;
+        }
+        if (!m[k].pair.value) m[k].pair.value = initial_value();  // v0
+        // Semifast read: when the whole sequence is one configuration and
+        // the max tag is already quorum-confirmed there, the write-back
+        // phase (and its trailing read-config) is redundant. Safe because
+        // the confirmation is evidence about the *past* — the tag rested at
+        // a full quorum before this read's replies — so any reconfiguration
+        // transfer sampling after our replies observes it by quorum
+        // intersection, and any reconfiguration whose put-config completed
+        // before our replies was already visible as a piggybacked hint
+        // (forcing the re-run). Contrast with a write, whose tag reaches a
+        // quorum only concurrently with its put round and therefore must
+        // re-sample afterwards.
+        if (fast_path_ && m[k].confirmed && list.size() == 1 &&
+            tail_covers_hints(objs[k])) {
+          install_lease(objs[k], m[k].lease_cfg, m[k].pair, m[k].lease_expiry);
+          m[k].done = true;
+        } else {
+          put.push_back(k);
+        }
+      }
+
+      // Put into the tail, then again into every newly revealed tail until
+      // the member's sequence stops growing. Steps owed: target, members.
+      std::vector<std::pair<ConfigId, std::vector<std::size_t>>> steps;
+      if (!put.empty()) steps.emplace_back(list.back(), put);
+      for (std::size_t s = 0; s < steps.size(); ++s) {
+        const auto [vcfg, step] = steps[s];
+        // Ask for a write-ack lease only in the single-tail steady state
+        // its install premise needs.
+        bool want_lease = write && fast_path_;
+        std::vector<dap::BatchPutItem> items;
+        for (std::size_t k : step) {
+          const ObjectId obj = objs[k];
+          want_lease = want_lease && obj_state(obj).synced &&
+                       cseq(obj)[mu(obj)].cfg == vcfg && tail_covers_hints(obj);
+          items.push_back({obj, m[k].pair.tag, m[k].pair.value});
+        }
+        auto round = put_round(vcfg, std::move(items), write, want_lease);
+        const std::vector<SimTime> expiries = co_await round;
+
+        std::vector<std::size_t> check;
+        for (std::size_t j = 0; j < step.size(); ++j) {
+          const std::size_t k = step[j];
+          // Alg. 7 re-reads the configuration after the put. Under fenced
+          // transfer reads that read-config IS elidable when the ack quorum
+          // came back hint-free: every transfer read of a racing
+          // reconfiguration waits for a quorum of servers that have
+          // *installed* the successor pointer, and that quorum intersects
+          // our put ack quorum — the intersection server either acked our
+          // put before its fenced reply (the transfer observes our tag) or
+          // replied fenced first, in which case its ack to us carries the
+          // pointer and we take the explicit round after all (see
+          // FastPath.WriteDiscoversReconfigCompletingDuringPutRound for the
+          // adversarial schedule). LDR tails never elide (tail_covers_hints
+          // is false), so LDR sources need no fence.
+          if (fast_path_ && obj_state(objs[k]).synced &&
+              cseq(objs[k]).back().cfg == vcfg && tail_covers_hints(objs[k])) {
+            // A write's ack lease: a full quorum granted on the ack,
+            // certifying our pair is each granting server's current
+            // register — the writer immediately re-leases its own value.
+            if (write) {
+              m[k].lease_expiry = expiries[j];
+              m[k].lease_cfg = vcfg;
+            }
+            install_lease(objs[k], m[k].lease_cfg, m[k].pair, m[k].lease_expiry);
+            m[k].done = true;
+          } else {
+            check.push_back(k);
+          }
+        }
+        if (check.size() < step.size()) note_round_elided();
+
+        // Otherwise the explicit read-config: the member's own traversal.
+        for (std::size_t k : check) co_await read_config(objs[k]);
+        for (std::size_t k : check) {
+          const ConfigId tail = cseq(objs[k]).back().cfg;
+          if (tail != vcfg) {
+            steps.emplace_back(tail, std::vector<std::size_t>{k});
+          } else {
+            install_lease(objs[k], m[k].lease_cfg, m[k].pair, m[k].lease_expiry);
+            m[k].done = true;
+          }
+        }
+      }
+
+      for (std::size_t k : moved) {
+        co_await read_config(objs[k]);
+        work.push_back({k});
       }
     } catch (const sim::ConfigRetired&) {
+      if (!write) throw;  // the caller re-syncs and re-runs the read
       retired = true;
     }
-    if (!retired) break;
-    auto rs = resync_after_retire(obj);
-    co_await rs;
-  }
-  const Tag tw = tmax.next(id());
-  if (recorder_ != nullptr) {
-    // Record the tag pre-put: a crashed writer's value may still surface.
-    recorder_->note_write_tag(op, tw, value);
-  }
-
-  // Propagate into the last configuration until the sequence stops growing.
-  // Under fenced transfer reads the explicit post-put read-config IS
-  // elidable when the ack quorum came back hint-free: every transfer read
-  // of a racing reconfiguration waits for a quorum of servers that have
-  // *installed* the successor pointer, and that quorum intersects our put
-  // ack quorum — the intersection server either acked our put before its
-  // fenced reply (the transfer observes tw) or replied fenced first, in
-  // which case its ack to us carries the pointer and we take the explicit
-  // round after all (see FastPath.WriteDiscoversReconfigCompleting-
-  // DuringPutRound for the adversarial schedule). LDR tails never elide
-  // (tail_covers_hints is false), so LDR sources need no fence.
-  TagValue to_write{tw, value};  // named: see GCC-12 note in sim/coro.hpp
-  bool retired = false;
-  try {
-    for (;;) {
-      const ConfigId vcfg = cseq(obj)[v].cfg;
-      // Ask for a write-ack lease only in the single-tail steady state the
-      // install premise needs (mirrors the read path's want_lease condition).
-      const bool want_lease = fast_path_ && obj_state(obj).synced &&
-                              mu(obj) == v && tail_covers_hints(obj);
-      auto put_fut =
-          dap_for(obj, vcfg)->put_data_leased(to_write, want_lease);
-      const dap::PutDataResult pr = co_await put_fut;
-      ObjectState& st = obj_state(obj);
-      if (fast_path_ && st.synced && nu(obj) == v && tail_covers_hints(obj)) {
-        note_round_elided();
-        // Write-ack lease: a full quorum granted on the ack, certifying our
-        // pair is each granting server's current register — the writer
-        // immediately re-leases its own value.
-        if (pr.lease_expiry > 0 && mu(obj) == nu(obj) &&
-            st.cseq.back().cfg == vcfg) {
-          install_lease(obj, vcfg, to_write, pr.lease_expiry);
-        }
-        break;
-      }
-      co_await read_config(obj);
-      if (nu(obj) == v) break;
-      v = nu(obj);
-    }
-  } catch (const sim::ConfigRetired&) {
-    // The tag is recorded history now: finish by re-propagating the SAME
-    // pair into the re-synced tail (complete_write), never a fresh tag.
-    retired = true;
-  }
-  if (retired) {
-    auto rs = resync_after_retire(obj);
-    co_await rs;
-    auto fin = complete_write(obj, to_write);
-    co_await fin;
-  }
-
-  co_return tw;
-}
-
-sim::Future<TagValue> AresClient::read(ObjectId obj) {
-  ObjectState& st = obj_state(obj);  // lazily bind to the default c0
-  trim_cseq(obj);
-  InflightGuards guard;
-  guard.hold(st.inflight);
-  std::uint64_t op = 0;
-  if (recorder_ != nullptr) {
-    op = recorder_->begin(id(), checker::OpKind::kRead, simulator().now(),
-                          obj);
-  }
-  auto core = read_core(obj);
-  TagValue best = co_await core;
-  if (recorder_ != nullptr) {
-    recorder_->end(op, simulator().now(), best.tag, best.value);
-  }
-  co_return best;
-}
-
-sim::Future<TagValue> AresClient::read_core(ObjectId obj) {
-  // Retirement retry shell: a quorum round of the attempt below may bounce
-  // off garbage-collected state at any suspension point; reads are
-  // side-effect free up to their write-back, so re-running the whole
-  // attempt after a re-sync is always sound.
-  for (;;) {
-    bool retired = false;
-    TagValue out;
-    try {
-      auto once = read_core_once(obj);
-      out = co_await once;
-    } catch (const sim::ConfigRetired&) {
-      retired = true;
-    }
-    if (!retired) co_return out;
-    auto rs = resync_after_retire(obj);
-    co_await rs;
-  }
-}
-
-sim::Future<TagValue> AresClient::read_core_once(ObjectId obj) {
-  (void)obj_state(obj);  // lazily bind to the default c0 on first use
-
-  // Lease fast path: a valid window serves the read entirely locally —
-  // zero quorum rounds, zero messages.
-  if (TagValue leased; try_lease_read(obj, leased)) {
-    co_return leased;
-  }
-
-  co_await ensure_config(obj);
-
-  TagValue best{kInitialTag, nullptr};
-  bool confirmed = false;
-  std::size_t m = 0;
-  std::size_t v = 0;
-  SimTime lease_expiry = 0;    // quorum grant window of the tail round
-  ConfigId lease_cfg = kNoConfig;
-  for (;;) {
-    m = mu(obj);
-    v = nu(obj);
-    best = TagValue{kInitialTag, nullptr};
-    confirmed = false;
-    lease_expiry = 0;
-    lease_cfg = kNoConfig;
-    for (std::size_t i = m; i <= v; ++i) {
-      // Ask for grants only when the whole sequence is this one
-      // configuration — the settle gates of a superseded configuration do
-      // not cover writes landing in its successors, and a grant the
-      // client cannot install would still stall later writers.
-      const bool want_lease = fast_path_ && m == v && i == v;
-      dap::GetDataResult r =
-          co_await dap_for(obj, cseq(obj)[i].cfg)
-              ->get_data_confirmed(want_lease);
-      if (r.tv.tag > best.tag || !best.value) {
-        best = r.tv;
-        confirmed = r.confirmed;
-      }
-      if (want_lease) {
-        lease_expiry = r.lease_expiry;
-        lease_cfg = cseq(obj)[i].cfg;
-      }
-    }
-    if (nu(obj) == v) break;
-    co_await read_config(obj);  // hint revealed a successor: re-run the phase
-  }
-  if (!best.value) best.value = initial_value();  // initial v0
-
-  // Semifast read: when the whole sequence is one configuration and the max
-  // tag is already quorum-confirmed there, the write-back phase (and its
-  // trailing read-config) is redundant. Safe because the confirmation is
-  // evidence about the *past* — the tag rested at a full quorum before this
-  // read's replies — so any reconfiguration transfer sampling after our
-  // replies observes it by quorum intersection, and any reconfiguration
-  // whose put-config completed before our replies was already visible as a
-  // piggybacked hint (forcing the re-run above). Contrast with the write
-  // path, whose tag reaches a quorum only concurrently with its put round
-  // and therefore must re-sample afterwards.
-  const bool skip_write_back =
-      fast_path_ && confirmed && m == v && tail_covers_hints(obj);
-  if (!skip_write_back) {
-    for (;;) {
-      co_await dap_for(obj, cseq(obj)[v].cfg)->put_data(best);
-      // Same fence-backed elision as the write path: a hint-free put ack
-      // quorum proves no racing transfer can have missed this tag.
-      ObjectState& st = obj_state(obj);
-      if (fast_path_ && st.synced && nu(obj) == v && tail_covers_hints(obj)) {
-        note_round_elided();
-        break;
-      }
-      co_await read_config(obj);
-      if (nu(obj) == v) break;
-      v = nu(obj);
-    }
-  }
-
-  // Install the lease once the returned pair is quorum-resident (it is,
-  // either by confirmation or by the write-back just completed) and the
-  // steady state still holds — any successor revealed meanwhile poisoned
-  // the premise.
-  if (fast_path_ && lease_expiry > 0) {
-    const ObjectState& st = obj_state(obj);
-    if (st.synced && mu(obj) == nu(obj) && st.cseq.back().cfg == lease_cfg) {
-      install_lease(obj, lease_cfg, best, lease_expiry);
-    }
-  }
-
-  co_return best;
-}
-
-// ---------------------------------------------------------------------------
-// Batched operations (Store API read_many/write_many): group members by
-// configuration via the synced-cseq cache and serve each group with
-// multi-object quorum rounds; any member whose configuration diverges —
-// mid-reconfig sequence, non-batchable protocol, or a piggybacked hint
-// revealing a successor mid-batch — falls back to the per-object Alg.-7 op.
-// ---------------------------------------------------------------------------
-
-sim::Future<std::vector<CseqEntry>> AresClient::read_config_batch(
-    ConfigId c, std::vector<ObjectId> objs) {
-  const auto& spec = registry_.get(c);
-  auto req = std::make_shared<ReadConfigBatchReq>();
-  req->config = c;
-  req->object = objs.empty() ? kDefaultObject : objs.front();
-  req->objects = objs;
-  auto qc = sim::broadcast_collect<ReadConfigBatchReply>(*this, spec.servers,
-                                                         std::move(req));
-  co_await qc.wait_for(spec.quorum_size());
-  std::vector<CseqEntry> out(objs.size());
-  for (const auto& a : qc.arrivals()) {
-    const std::size_t n = std::min(a.reply->nexts.size(), out.size());
-    for (std::size_t j = 0; j < n; ++j) {
-      const CseqEntry& seen = a.reply->nexts[j];
-      if (!seen.valid()) continue;
-      if (!out[j].valid() || (seen.finalized && !out[j].finalized)) {
-        out[j] = seen;
+    if (!retired) continue;
+    // A quorum round bounced off garbage-collected state: re-sync each
+    // unfinished member. One whose tag is recorded history finishes by
+    // re-propagating the SAME pair into the re-synced tail (complete_write)
+    // — the checker indexes writes by their single noted tag, so a fresh
+    // tag would be a second write. One without a tag yet retries from the
+    // query: no tag has been recorded, so a fresh choice is sound.
+    for (std::size_t k : item) {
+      if (m[k].done) continue;
+      auto rs = resync_after_retire(objs[k]);
+      co_await rs;
+      if (m[k].noted) {
+        auto fin = complete_write(objs[k], m[k].pair);
+        co_await fin;
+        m[k].done = true;
+      } else {
+        co_await ensure_config(objs[k]);
+        work.push_back({k});
       }
     }
   }
+  std::vector<TagValue> out;
+  for (const Member& x : m) out.push_back(x.pair);
   co_return out;
 }
 
 sim::Future<void> AresClient::propagate_tail(ObjectId obj, TagValue tv) {
   std::size_t v = nu(obj);
   for (;;) {
-    co_await dap_for(obj, cseq(obj)[v].cfg)->put_data(tv);
+    auto round = put_round(cseq(obj)[v].cfg, {{obj, tv.tag, tv.value}},
+                           /*write=*/false, /*want_lease=*/false);
+    co_await round;
     co_await read_config(obj);
     if (nu(obj) == v) break;
     v = nu(obj);
-  }
-  co_return;
-}
-
-namespace {
-
-/// True when `obj`'s whole cached sequence is the single configuration
-/// `st.cseq.back()` and that configuration serves the batch primitives.
-bool group_stable(const AresClient& client, ObjectId obj, ConfigId cfg) {
-  const auto& cs = client.cseq(obj);
-  return cs.back().cfg == cfg && client.mu(obj) == client.nu(obj);
-}
-
-}  // namespace
-
-sim::Future<std::vector<TagValue>> AresClient::read_batch(
-    std::vector<ObjectId> objs) {
-  std::vector<TagValue> out(objs.size());
-  std::vector<std::uint64_t> rec(objs.size(), 0);
-  std::vector<char> leased(objs.size(), 0);
-  InflightGuards guard;
-  std::set<ObjectId> held;
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    ObjectState& st = obj_state(objs[i]);
-    trim_cseq(objs[i]);
-    if (held.insert(objs[i]).second) guard.hold(st.inflight);
-    if (recorder_ != nullptr) {
-      rec[i] = recorder_->begin(id(), checker::OpKind::kRead,
-                                simulator().now(), objs[i]);
-    }
-  }
-  // Lease fast path per member: a valid window serves the member locally
-  // and excludes it from every quorum round below (the QueryBatchReq
-  // fan-out never lists it).
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    if (try_lease_read(objs[i], out[i])) leased[i] = 1;
-  }
-  // Resolve configurations (zero rounds per member once synced).
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    if (leased[i]) continue;
-    co_await ensure_config(objs[i]);
-  }
-
-  // Group by tail configuration; deduplicate objects within a group (a
-  // repeated read in one batch shares the canonical member's result).
-  std::map<ConfigId, std::vector<std::size_t>> groups;
-  std::vector<std::size_t> singles;
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    if (leased[i]) continue;
-    const ObjectState& st = obj_state(objs[i]);
-    const ConfigId tail = st.cseq.back().cfg;
-    if (st.synced && mu(objs[i]) == nu(objs[i]) &&
-        dap::batch_capable(registry_.get(tail))) {
-      groups[tail].push_back(i);
-    } else {
-      singles.push_back(i);
-    }
-  }
-
-  for (auto& [cfg, slots] : groups) {
-    auto group = read_batch_group(cfg, slots, objs, out);
-    co_await group;
-  }
-
-  for (std::size_t i : singles) {
-    auto fallback = read_core(objs[i]);
-    out[i] = co_await fallback;
-  }
-
-  if (recorder_ != nullptr) {
-    for (std::size_t i = 0; i < objs.size(); ++i) {
-      recorder_->end(rec[i], simulator().now(), out[i].tag, out[i].value);
-    }
-  }
-  co_return out;
-}
-
-sim::Future<void> AresClient::read_batch_group(
-    ConfigId cfg, const std::vector<std::size_t>& slots,
-    const std::vector<ObjectId>& objs, std::vector<TagValue>& out) {
-  bool retired = false;
-  try {
-    const dap::ConfigSpec& spec = registry_.get(cfg);
-    std::vector<ObjectId> uobjs;           // distinct objects, wire order
-    std::vector<std::size_t> canon;        // canonical member per uobj
-    std::map<ObjectId, std::size_t> uslot;  // object -> uobjs index
-    for (std::size_t s : slots) {
-      auto [it, inserted] = uslot.try_emplace(objs[s], uobjs.size());
-      if (inserted) {
-        uobjs.push_back(objs[s]);
-        canon.push_back(s);
-      }
-    }
-    std::vector<Tag> hints;
-    hints.reserve(uobjs.size());
-    for (ObjectId o : uobjs) hints.push_back(dap_for(o, cfg)->confirmed_tag());
-
-    // One get-data quorum round for the whole group (with lease grants —
-    // every grouped member is in the stable single-config steady state).
-    auto get_fut =
-        dap::batch_get_data(*this, spec, uobjs,
-                            /*tags_only=*/false, std::move(hints),
-                            /*want_leases=*/fast_path_);
-    auto items = co_await get_fut;
-    for (std::size_t u = 0; u < uobjs.size(); ++u) {
-      if (items[u].next_c.valid()) {
-        note_config_hint(cfg, uobjs[u], items[u].next_c);
-      }
-    }
-
-    std::vector<dap::BatchPutItem> wb;   // members needing the write-back
-    std::vector<std::size_t> wb_canon;   // their canonical member indices
-    std::vector<SimTime> wb_lease;       // their quorum grant windows
-    std::vector<std::size_t> demoted;    // uobj indices rerun per-object
-    for (std::size_t u = 0; u < uobjs.size(); ++u) {
-      const ObjectId obj = uobjs[u];
-      if (!obj_state(obj).synced || !group_stable(*this, obj, cfg)) {
-        demoted.push_back(u);
-        continue;
-      }
-      TagValue best{items[u].tag,
-                    items[u].value ? items[u].value : initial_value()};
-      out[canon[u]] = best;
-      const bool confirmed = spec.semifast && items[u].confirmed >= best.tag;
-      if (confirmed) dap_for(obj, cfg)->note_confirmed(best.tag);
-      if (!(fast_path_ && confirmed)) {
-        wb.push_back({obj, best.tag, best.value});
-        wb_canon.push_back(canon[u]);
-        wb_lease.push_back(items[u].lease_expiry);
-      } else if (fast_path_ && items[u].lease_expiry > 0) {
-        // Confirmed member with a quorum of grants: the pair is already
-        // quorum-resident, so the lease may serve future reads locally.
-        install_lease(obj, cfg, best, items[u].lease_expiry);
-      }
-    }
-
-    if (!wb.empty()) {
-      // One put round writes every non-confirmed pair back...
-      auto put_fut = dap::batch_put_data(*this, spec, wb);
-      auto ack = co_await put_fut;
-      for (std::size_t j = 0; j < wb.size(); ++j) {
-        if (ack.next_cs[j].valid()) {
-          note_config_hint(cfg, wb[j].object, ack.next_cs[j]);
-        }
-      }
-      // ...and the batched post-put config check — elided under the fast
-      // path: fenced transfer reads guarantee any racing reconfiguration
-      // either observes these tags or leaves a pointer in the ack hints
-      // just absorbed (see write_core); members whose hints fired fall
-      // through to propagate_tail below.
-      std::vector<CseqEntry> nexts(wb.size());
-      if (fast_path_) {
-        note_round_elided();
-      } else {
-        std::vector<ObjectId> wb_objs;
-        wb_objs.reserve(wb.size());
-        for (const auto& p : wb) wb_objs.push_back(p.object);
-        auto check_fut = read_config_batch(cfg, wb_objs);
-        nexts = co_await check_fut;
-      }
-      for (std::size_t j = 0; j < wb.size(); ++j) {
-        const ObjectId obj = wb[j].object;
-        ObjectState& st = obj_state(obj);
-        if (nexts[j].valid() && st.cseq.back().cfg == cfg) {
-          set_entry(obj, nu(obj) + 1, nexts[j]);
-          st.synced = false;
-        }
-        if (st.cseq.back().cfg != cfg || !st.synced) {
-          TagValue tv = out[wb_canon[j]];
-          auto prop = propagate_tail(obj, tv);
-          co_await prop;
-        } else {
-          // Quorum-propagated by our write-back: remember for next time,
-          // and a quorum of grants from the query round now backs a lease.
-          dap_for(obj, cfg)->note_confirmed(wb[j].tag);
-          if (fast_path_ && wb_lease[j] > 0) {
-            install_lease(obj, cfg, out[wb_canon[j]], wb_lease[j]);
-          }
-        }
-      }
-    }
-
-    for (std::size_t u : demoted) {
-      auto fallback = read_core(uobjs[u]);
-      out[canon[u]] = co_await fallback;
-    }
-    for (std::size_t s : slots) out[s] = out[canon[uslot[objs[s]]]];
-  } catch (const sim::ConfigRetired&) {
-    retired = true;
-  }
-  if (retired) {
-    // The group's configuration was garbage-collected mid-round: re-sync
-    // every member once, then serve each slot per-object (read_core rides
-    // out any further retirement itself). Re-reading already-served slots
-    // is sound — reads are idempotent.
-    std::set<ObjectId> resynced;
-    for (std::size_t s : slots) {
-      if (!resynced.insert(objs[s]).second) continue;
-      auto rs = resync_after_retire(objs[s]);
-      co_await rs;
-    }
-    for (std::size_t s : slots) {
-      auto fallback = read_core(objs[s]);
-      out[s] = co_await fallback;
-    }
-  }
-  co_return;
-}
-
-sim::Future<std::vector<Tag>> AresClient::write_batch(
-    std::vector<ObjectId> objs, std::vector<ValuePtr> values) {
-  assert(objs.size() == values.size());
-  std::vector<Tag> out(objs.size());
-  std::vector<std::uint64_t> rec(objs.size(), 0);
-  InflightGuards guard;
-  std::set<ObjectId> held;
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    ObjectState& st = obj_state(objs[i]);
-    trim_cseq(objs[i]);
-    if (held.insert(objs[i]).second) guard.hold(st.inflight);
-    poison_lease(objs[i]);  // an own write outdates the cached pair
-    if (recorder_ != nullptr) {
-      rec[i] = recorder_->begin(id(), checker::OpKind::kWrite,
-                                simulator().now(), objs[i]);
-    }
-  }
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    co_await ensure_config(objs[i]);
-  }
-
-  // Group by tail configuration. Unlike reads, duplicate objects are NOT
-  // merged — every member is a distinct write and needs a distinct tag —
-  // so later duplicates take the serialized per-object path.
-  std::map<ConfigId, std::vector<std::size_t>> groups;
-  std::vector<std::size_t> singles;
-  std::set<ObjectId> grouped;
-  for (std::size_t i = 0; i < objs.size(); ++i) {
-    const ObjectState& st = obj_state(objs[i]);
-    const ConfigId tail = st.cseq.back().cfg;
-    if (st.synced && mu(objs[i]) == nu(objs[i]) &&
-        dap::batch_capable(registry_.get(tail)) &&
-        grouped.insert(objs[i]).second) {
-      groups[tail].push_back(i);
-    } else {
-      singles.push_back(i);
-    }
-  }
-
-  for (auto& [cfg, slots] : groups) {
-    auto group = write_batch_group(cfg, slots, objs, values, rec, out);
-    co_await group;
-  }
-
-  for (std::size_t i : singles) {
-    auto fallback = write_core(objs[i], values[i], rec[i]);
-    out[i] = co_await fallback;
-  }
-
-  if (recorder_ != nullptr) {
-    for (std::size_t i = 0; i < objs.size(); ++i) {
-      recorder_->end(rec[i], simulator().now(), out[i], values[i]);
-    }
-  }
-  co_return out;
-}
-
-sim::Future<void> AresClient::write_batch_group(
-    ConfigId cfg, const std::vector<std::size_t>& slots,
-    const std::vector<ObjectId>& objs, const std::vector<ValuePtr>& values,
-    const std::vector<std::uint64_t>& rec, std::vector<Tag>& out) {
-  // Declared outside the try so retirement recovery can tell which members
-  // already had their tag noted (put_slots) from those that never got one.
-  std::vector<dap::BatchPutItem> puts;
-  std::vector<std::size_t> put_slots;
-  std::vector<std::size_t> demoted_slots;
-  bool retired = false;
-  try {
-    const dap::ConfigSpec& spec = registry_.get(cfg);
-    std::vector<ObjectId> gobjs;
-    gobjs.reserve(slots.size());
-    for (std::size_t s : slots) gobjs.push_back(objs[s]);
-    std::vector<Tag> hints;
-    hints.reserve(gobjs.size());
-    for (ObjectId o : gobjs) hints.push_back(dap_for(o, cfg)->confirmed_tag());
-
-    // One batched get-tag round for the whole group.
-    auto tag_fut = dap::batch_get_data(*this, spec, gobjs,
-                                       /*tags_only=*/true, std::move(hints));
-    auto items = co_await tag_fut;
-    for (std::size_t j = 0; j < gobjs.size(); ++j) {
-      if (items[j].next_c.valid()) {
-        note_config_hint(cfg, gobjs[j], items[j].next_c);
-      }
-    }
-
-    for (std::size_t j = 0; j < gobjs.size(); ++j) {
-      const ObjectId obj = gobjs[j];
-      const std::size_t slot = slots[j];
-      if (!obj_state(obj).synced || !group_stable(*this, obj, cfg)) {
-        demoted_slots.push_back(slot);
-        continue;
-      }
-      const Tag tw = items[j].tag.next(id());
-      out[slot] = tw;
-      if (recorder_ != nullptr) {
-        // Record the tag pre-put: a crashed writer's value may surface.
-        recorder_->note_write_tag(rec[slot], tw, values[slot]);
-      }
-      puts.push_back({obj, tw, values[slot]});
-      put_slots.push_back(slot);
-    }
-
-    if (!puts.empty()) {
-      // One put round for the whole group (with write-ack lease grants
-      // under the fast path — every grouped member is in the stable
-      // single-config steady state)...
-      auto put_fut =
-          dap::batch_put_data(*this, spec, puts, /*want_leases=*/fast_path_);
-      auto ack = co_await put_fut;
-      for (std::size_t j = 0; j < puts.size(); ++j) {
-        if (ack.next_cs[j].valid()) {
-          note_config_hint(cfg, puts[j].object, ack.next_cs[j]);
-        }
-      }
-      // ...and the batched post-put configuration check — elided under the
-      // fast path by the same fence argument as write_core: a racing
-      // transfer either observes these tags or left a pointer in the ack
-      // hints just absorbed.
-      std::vector<CseqEntry> nexts(puts.size());
-      if (fast_path_) {
-        note_round_elided();
-      } else {
-        std::vector<ObjectId> put_objs;
-        put_objs.reserve(puts.size());
-        for (const auto& p : puts) put_objs.push_back(p.object);
-        auto check_fut = read_config_batch(cfg, put_objs);
-        nexts = co_await check_fut;
-      }
-      for (std::size_t j = 0; j < puts.size(); ++j) {
-        const ObjectId obj = puts[j].object;
-        ObjectState& st = obj_state(obj);
-        if (nexts[j].valid() && st.cseq.back().cfg == cfg) {
-          set_entry(obj, nu(obj) + 1, nexts[j]);
-          st.synced = false;
-        }
-        if (st.cseq.back().cfg != cfg || !st.synced) {
-          TagValue tv{puts[j].tag, puts[j].value};
-          auto prop = propagate_tail(obj, tv);
-          co_await prop;
-        } else {
-          dap_for(obj, cfg)->note_confirmed(puts[j].tag);
-          // Write-ack lease riding the batch ack: the writer immediately
-          // re-leases its own value (full-quorum grant, min expiry).
-          if (fast_path_ && ack.lease_expiries[j] > 0) {
-            install_lease(obj, cfg, TagValue{puts[j].tag, puts[j].value},
-                          ack.lease_expiries[j]);
-          }
-        }
-      }
-    }
-
-    for (std::size_t slot : demoted_slots) {
-      auto fallback = write_core(objs[slot], values[slot], rec[slot]);
-      out[slot] = co_await fallback;
-    }
-    co_return;
-  } catch (const sim::ConfigRetired&) {
-    retired = true;
-  }
-
-  // A member configuration was retired by config-lineage GC mid-group.
-  // Re-sync every member once, then finish each slot individually:
-  // members whose tag was already noted with the recorder must re-propagate
-  // the SAME (tag, value) pair (the checker records one tag per write op);
-  // members that never got a tag restart through write_core, which is free
-  // to choose fresh tags and has its own retirement retry loop.
-  if (retired) {
-    std::set<ObjectId> members;
-    for (std::size_t s : slots) members.insert(objs[s]);
-    for (ObjectId o : members) {
-      auto rs = resync_after_retire(o);
-      co_await rs;
-    }
-    for (std::size_t j = 0; j < puts.size(); ++j) {
-      auto done = complete_write(puts[j].object,
-                                 TagValue{puts[j].tag, puts[j].value});
-      co_await done;
-    }
-    const std::set<std::size_t> noted(put_slots.begin(), put_slots.end());
-    for (std::size_t s : slots) {
-      if (noted.contains(s)) continue;
-      auto fallback = write_core(objs[s], values[s], rec[s]);
-      out[s] = co_await fallback;
-    }
   }
   co_return;
 }
@@ -1127,7 +935,7 @@ sim::Future<void> AresClient::update_config(ObjectId obj) {
     // Fenced on every transfer *source* (i < v): count only replies whose
     // server echoes the installed successor pointer, so the transfer is
     // ordered against concurrent writes whose post-put config check was
-    // elided (see write_core). The fence carries cseq[i+1] and installs it
+    // elided (see run_group). The fence carries cseq[i+1] and installs it
     // on every replying server, so any live quorum suffices. The tail
     // (i == v) has no successor pointer yet and stays unfenced — it is the
     // transfer *destination*, not a source.

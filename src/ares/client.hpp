@@ -10,6 +10,16 @@
 // touching any other object's lineage. The single-argument overloads
 // operate on kDefaultObject for one-object deployments.
 //
+// Reads and writes run one Algorithm-7 pipeline whether scalar or batched:
+// read(obj) and write(obj, v) are batches of one. A batch's members are
+// grouped by their cached configuration list cseq[µ..ν], and each group runs
+// Algorithm 7 once (run_group). Every data round picks its primitive by the
+// number of members it carries: two or more on a batch-capable (ABD)
+// configuration ride one multi-object frame (dap::batch_get_data /
+// dap::batch_put_data); one member uses its own Dap primitive, so a scalar
+// operation sends exactly the scalar frames (a one-member batch frame would
+// cost more bytes). TREAS and LDR members always form groups of one.
+//
 // The update-config phase is virtual: the base class implements the
 // client-conduit transfer of Algorithm 5; arestreas::DirectAresClient
 // overrides it with the direct server-to-server transfer of Section 5.
@@ -20,6 +30,7 @@
 #include "consensus/paxos.hpp"
 #include "dap/config.hpp"
 #include "dap/dap.hpp"
+#include "dap/messages.hpp"
 #include "sim/process.hpp"
 
 #include <map>
@@ -46,34 +57,29 @@ class AresClient : public sim::Process {
   /// a multi-object store places different keys on different server sets.
   void bind_object(ObjectId obj, ConfigId c0);
 
-  /// Algorithm 7 write on `obj`. Completes with the tag the value was
-  /// written under.
+  /// Algorithm 7 write on `obj`: a write_batch of one. Completes with the
+  /// tag the value was written under.
   [[nodiscard]] sim::Future<Tag> write(ObjectId obj, ValuePtr value);
   [[nodiscard]] sim::Future<Tag> write(ValuePtr value) {
     return write(kDefaultObject, std::move(value));
   }
 
-  /// Algorithm 7 read on `obj`. Completes with the tag-value pair returned.
+  /// Algorithm 7 read on `obj`: a read_batch of one. Completes with the
+  /// tag-value pair returned.
   [[nodiscard]] sim::Future<TagValue> read(ObjectId obj);
   [[nodiscard]] sim::Future<TagValue> read() { return read(kDefaultObject); }
 
-  /// Batched Algorithm-7 reads: members whose whole cached sequence is one
-  /// batch-capable configuration (see dap::batch_capable) are grouped per
-  /// configuration and served by multi-object quorum rounds — one get-data
-  /// round (plus, when write-back is needed, one put round and one config
-  /// check) for the whole group instead of per member. Members whose
-  /// configuration diverges — mid-reconfig sequences, non-batchable
-  /// protocols, or a piggybacked hint revealing a successor mid-batch —
-  /// fall back to the per-object Algorithm-7 path. Results align with
-  /// `objs`.
+  /// Algorithm-7 reads of `objs`, results aligned with `objs` (a repeated
+  /// object shares its first occurrence's result). Members served by a
+  /// valid lease cost nothing; the rest are grouped by their cached
+  /// configuration list cseq[µ..ν] and each group runs Algorithm 7 once
+  /// (see the class comment for the group-size rule).
   [[nodiscard]] sim::Future<std::vector<TagValue>> read_batch(
       std::vector<ObjectId> objs);
 
-  /// Batched Algorithm-7 writes (same grouping and fallback rules; one
-  /// batched get-tag round, one batched put round, one batched post-put
-  /// config check per group). Duplicate objects within one batch are
-  /// serialized through the per-object path so every member gets a
-  /// distinct tag. `values` parallels `objs`.
+  /// Algorithm-7 writes, `values` parallel to `objs`, grouped like
+  /// read_batch. A repeated object runs as its own later group, so every
+  /// member gets a distinct tag.
   [[nodiscard]] sim::Future<std::vector<Tag>> write_batch(
       std::vector<ObjectId> objs, std::vector<ValuePtr> values);
 
@@ -273,14 +279,9 @@ class AresClient : public sim::Process {
   /// retirer's finalize makes µ jump past every retired entry).
   [[nodiscard]] sim::Future<void> resync_after_retire(ObjectId obj);
 
-  /// One attempt of the Alg.-7 read body (throws sim::ConfigRetired when a
-  /// quorum round hits garbage-collected state; read_core retries).
-  [[nodiscard]] sim::Future<TagValue> read_core_once(ObjectId obj);
-
   /// Finish a write whose tag is already recorded history: propagate the
   /// SAME pair into the (re-synced) tail until the sequence is stable,
-  /// riding out further retirements. Never picks a new tag — the checker
-  /// indexes writes by their single noted tag.
+  /// riding out further retirements (see run_group).
   [[nodiscard]] sim::Future<void> complete_write(ObjectId obj, TagValue tv);
 
   /// read_config, unless the fast path may trust the cached cseq for `obj`.
@@ -298,9 +299,12 @@ class AresClient : public sim::Process {
   /// and fills `out` on a local hit (counted in lease_local_reads_).
   [[nodiscard]] bool try_lease_read(ObjectId obj, TagValue& out);
 
-  /// Install a lease on `obj` (refused below the configuration's install
-  /// fence) and schedule the expiry reaper wakeup.
-  void install_lease(ObjectId obj, ConfigId cfg, TagValue tv, SimTime expiry);
+  /// Install the lease a quorum round on `cfg` granted for `obj` (window
+  /// end `expiry`, 0 = none), if the steady-state premise still holds and
+  /// the pair clears the configuration's install fence; schedules the
+  /// expiry reaper wakeup.
+  void install_lease(ObjectId obj, ConfigId cfg, const TagValue& tv,
+                     SimTime expiry);
 
   /// Schedule the timer wakeup that drops `obj`'s lease entry once the
   /// client's own (skewed, ε-guarded) clock reaches the window end.
@@ -310,36 +314,45 @@ class AresClient : public sim::Process {
   /// invalidation disturbed the steady state).
   void poison_lease(ObjectId obj);
 
-  /// The Alg.-7 operation bodies, minus history recording (the public
-  /// read/write wrappers and the batch paths record around them; `op` is
-  /// the recorder handle for the mid-operation note_write_tag, 0 if none).
-  [[nodiscard]] sim::Future<TagValue> read_core(ObjectId obj);
-  [[nodiscard]] sim::Future<Tag> write_core(ObjectId obj, ValuePtr value,
-                                            std::uint64_t op);
+  /// The body of read_batch (`Result` = std::vector<TagValue>), write_batch
+  /// (std::vector<Tag>) and write (Tag): serve leases, resolve
+  /// configurations, group the members, run each group.
+  template <typename Result>
+  [[nodiscard]] sim::Future<Result> run_ops(std::vector<ObjectId> objs,
+                                            std::vector<ValuePtr> values);
 
-  /// One batched nextC quorum sample on configuration `c` for every listed
-  /// object — the post-put configuration check of a batched operation.
-  /// Returns the best entry seen per object (⊥ when no server knows a
-  /// successor), aligned with `objs`.
-  [[nodiscard]] sim::Future<std::vector<CseqEntry>> read_config_batch(
-      ConfigId c, std::vector<ObjectId> objs);
+  /// Groups of `members` (indices into `objs`) sharing their cached
+  /// cseq[µ..ν]. Only all-batch-capable lists are shared; a repeated object
+  /// starts a group of its own.
+  [[nodiscard]] std::vector<std::vector<std::size_t>> group_members(
+      const std::vector<ObjectId>& objs,
+      const std::vector<std::size_t>& members);
 
-  /// One configuration group of read_batch / write_batch, including the
-  /// per-group retirement recovery (a ConfigRetired bounce re-syncs the
-  /// members and finishes them per-object — reads re-run read_core; writes
-  /// whose tag was already noted re-propagate that SAME tag via
-  /// complete_write, the rest fall back to write_core).
-  [[nodiscard]] sim::Future<void> read_batch_group(
-      ConfigId cfg, const std::vector<std::size_t>& slots,
-      const std::vector<ObjectId>& objs, std::vector<TagValue>& out);
-  [[nodiscard]] sim::Future<void> write_batch_group(
-      ConfigId cfg, const std::vector<std::size_t>& slots,
-      const std::vector<ObjectId>& objs, const std::vector<ValuePtr>& values,
-      const std::vector<std::uint64_t>& rec, std::vector<Tag>& out);
+  /// Algorithm 7 once for a group; returns the pair read or written per
+  /// member. A read bounced by config-lineage GC throws sim::ConfigRetired
+  /// for run_ops to re-sync and re-run; a write recovers here. `recs` are
+  /// the writes' recorder handles.
+  [[nodiscard]] sim::Future<std::vector<TagValue>> run_group(
+      bool write, std::vector<ObjectId> objs, std::vector<ValuePtr> values,
+      std::vector<std::uint64_t> recs);
 
-  /// Alg.-7 propagation loop for a pair that already rests at a quorum of
-  /// the old tail after a successor configuration was revealed: re-put into
-  /// each new tail until the sequence stops growing.
+  /// run_group's data rounds: awaitables that resume the operation straight
+  /// from the primitive's quorum wait (a wrapping coroutine would add a
+  /// resumption and reorder same-instant simulator events). Two or more
+  /// members ride the batch primitives, one member its own Dap primitive. A query is get-tag
+  /// (`tags_only`) or get-data and yields a dap::GetDataResult per member;
+  /// a put is a write's (`write`) or a read's write-back and yields each
+  /// member's write-ack lease expiry (0 = none).
+  struct QueryRound;
+  struct PutRound;
+  [[nodiscard]] QueryRound query_round(ConfigId cfg, std::vector<ObjectId> objs,
+                                       bool tags_only, bool want_lease);
+  [[nodiscard]] PutRound put_round(ConfigId cfg,
+                                   std::vector<dap::BatchPutItem> items,
+                                   bool write, bool want_lease);
+
+  /// complete_write's propagation loop: put the pair into the tail and
+  /// re-traverse, until the sequence stops growing.
   [[nodiscard]] sim::Future<void> propagate_tail(ObjectId obj, TagValue tv);
 
   /// True when piggybacked hints on `obj`'s current tail configuration are

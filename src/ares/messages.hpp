@@ -50,9 +50,9 @@ class WriteConfigAck final : public sim::RpcReply {
 };
 
 /// READ-CONFIG-BATCH: nextC of every listed object's (configuration,
-/// object) pair, in one RPC — the post-put configuration check of a
-/// batched operation (one quorum round for the whole batch instead of one
-/// per member). `objects` rides next to the envelope's (config, object).
+/// object) pair in one RPC. No longer sent or served — a put's
+/// configuration check is each member's own read-config — but its wire type
+/// ids stay registered in the TCP codec; remove both together.
 class ReadConfigBatchReq final : public sim::RpcRequest {
  public:
   std::vector<ObjectId> objects;

@@ -41,7 +41,7 @@ namespace ares::dap {
 struct BatchPutResult {
   /// Ack-time nextC hints. Under fenced transfer reads a fully hint-free
   /// ack quorum proves no transfer can have missed these tags (see
-  /// AresClient::write_batch), so the batched post-put config check is
+  /// AresClient::run_group), so the batched post-put config check is
   /// elidable; with the fast path off they remain an opportunistic
   /// staleness signal only.
   std::vector<CseqEntry> next_cs;

@@ -79,7 +79,7 @@ class Dap {
   /// superseded. Combined with quorum intersection this guarantees the
   /// transfer sees every put-data that completed *hint-free* in this
   /// configuration — the property that makes the writer's post-put config
-  /// check elidable (see AresClient::write_core). The caller passes the
+  /// check elidable (see AresClient::run_group). The caller passes the
   /// decided successor entry; the query piggybacks it and each server
   /// installs it before replying (Alg. 6 adopt rule), so the fence is
   /// self-establishing. Liveness therefore needs only *some* quorum of

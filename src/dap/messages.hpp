@@ -144,7 +144,7 @@ class PutBatchReply final : public sim::RpcReply {
  public:
   /// Ack-time nextC per request item. Under fenced transfer reads a fully
   /// hint-free batch ack quorum proves no racing reconfiguration can have
-  /// transferred state without these tags (see AresClient::write_batch) —
+  /// transferred state without these tags (see AresClient::run_group) —
   /// the batched post-put config check is then elidable; with the fast
   /// path off it remains an opportunistic staleness signal only.
   std::vector<CseqEntry> next_cs;

@@ -142,6 +142,57 @@ TEST(Batch, BatchedWriteOfSharedConfigCostsTwoRounds) {
   expect_atomic(cluster);
 }
 
+TEST(Batch, OneMemberBatchCostsExactlyAScalarOp) {
+  // A one-member group is a scalar operation: read_many({k}) and
+  // write_many({k}) send the scalar frames, so they cost exactly the
+  // rounds, messages and bytes of read(k) and write(k) from the same state
+  // (batch frames would add the member list and per-item framing).
+  for (const auto protocol : {dap::Protocol::kAbd, dap::Protocol::kTreas}) {
+    SCOPED_TRACE(protocol == dap::Protocol::kAbd ? "ABD" : "TREAS");
+    // Two identical deterministic clusters: one runs the scalar read and
+    // write, the other the one-member batches, in the same order.
+    std::vector<api::OpResult> ops[2];
+    for (const bool batched : {false, true}) {
+      harness::AresClusterOptions o = abd_cluster(2);
+      o.initial_protocol = protocol;
+      if (protocol == dap::Protocol::kTreas) o.initial_k = 3;
+      harness::AresCluster cluster(o);
+      warm_up(cluster, 2);
+      cluster.sim().run();
+
+      auto& store = cluster.store(1);
+      constexpr ObjectId kKey = 1;
+      const std::vector<ObjectId> keys{kKey};
+      const std::vector<WriteOp> writes{
+          {kKey, make_value(make_test_value(64, 300))}};
+      if (batched) {
+        ops[1].push_back(
+            sim::run_to_completion(cluster.sim(), store.read_many(keys))[0]);
+        cluster.sim().run();
+        ops[1].push_back(sim::run_to_completion(cluster.sim(),
+                                                store.write_many(writes))[0]);
+      } else {
+        ops[0].push_back(
+            sim::run_to_completion(cluster.sim(), store.read(kKey)));
+        cluster.sim().run();
+        ops[0].push_back(sim::run_to_completion(
+            cluster.sim(), store.write(kKey, writes[0].value)));
+      }
+      expect_atomic(cluster);
+    }
+    for (std::size_t i = 0; i < 2; ++i) {
+      SCOPED_TRACE(i == 0 ? "read" : "write");
+      const api::OpResult& scalar = ops[0][i];
+      const api::OpResult& batch = ops[1][i];
+      EXPECT_GT(scalar.metrics.rounds, 0u);
+      EXPECT_EQ(batch.metrics.rounds, scalar.metrics.rounds);
+      EXPECT_EQ(batch.metrics.messages, scalar.metrics.messages);
+      EXPECT_EQ(batch.metrics.bytes, scalar.metrics.bytes);
+      EXPECT_EQ(batch.tag, scalar.tag);
+    }
+  }
+}
+
 TEST(Batch, StaticStoreBatchesAbdReads) {
   // The same coalescing through the static (A1/A2) stack's adapter.
   harness::StaticClusterOptions o;

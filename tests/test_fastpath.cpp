@@ -43,7 +43,7 @@ TEST(FastPath, QuiescentSteadyStateRoundCounts) {
   // Warmup: the first operation pays the explicit read-config sync
   // (1 round) on top of get-tag + put-data; the post-put read-config is
   // elided (fenced transfer reads make the hint-free ack quorum proof
-  // enough — see AresClient::write_core).
+  // enough — see AresClient::run_group).
   auto payload = make_value(make_test_value(128, 1));
   (void)sim::run_to_completion(cluster.sim(), client.write(payload));
   EXPECT_EQ(client.traffic().quorum_rounds, 3u);
@@ -140,32 +140,57 @@ TEST(FastPath, PiggybackedHintInvalidatesCachedCseqMidWrite) {
   // configuration through the piggybacked hints of its own data phases —
   // it skips the explicit read-config round, writes into the old
   // configuration, learns of the new one from the put-data acks, and
-  // re-runs the affected phase.
-  harness::AresCluster cluster(abd_ares_options(5));
-  auto& client = cluster.client(0);
+  // re-runs the affected phase. Two inputs: a scalar write, and a
+  // two-member write_batch whose members share the stale cached cseq — the
+  // group's rounds go to c0 together, and the hint must demote each member
+  // to the new configuration.
+  for (const std::size_t members : {1, 2}) {
+    SCOPED_TRACE(members == 1 ? "scalar write" : "two-member write_batch");
+    harness::AresClusterOptions o = abd_ares_options(5);
+    o.num_objects = members;
+    harness::AresCluster cluster(o);
+    auto& client = cluster.client(0);
 
-  auto payload = make_value(make_test_value(256, 1));
-  (void)sim::run_to_completion(cluster.sim(), client.write(payload));
-  ASSERT_EQ(client.cseq().size(), 1u);  // synced on c0
+    auto payload = make_value(make_test_value(256, 1));
+    for (ObjectId obj = 0; obj < members; ++obj) {
+      (void)sim::run_to_completion(cluster.sim(), client.write(obj, payload));
+      ASSERT_EQ(client.cseq(obj).size(), 1u);  // synced on c0
+    }
 
-  auto spec = cluster.make_spec(dap::Protocol::kTreas, 3, 5, 3);
-  (void)sim::run_to_completion(cluster.sim(),
-                               cluster.reconfigurer(0).reconfig(spec));
+    auto spec = cluster.make_spec(dap::Protocol::kTreas, 3, 5, 3);
+    for (ObjectId obj = 0; obj < members; ++obj) {
+      (void)sim::run_to_completion(
+          cluster.sim(), cluster.reconfigurer(0).reconfig(obj, spec));
+    }
 
-  // The client still believes c0 is the tail; this write must land in the
-  // new configuration anyway.
-  auto payload2 = make_value(make_test_value(256, 2));
-  const Tag wtag =
-      sim::run_to_completion(cluster.sim(), client.write(payload2));
-  ASSERT_EQ(client.cseq().size(), 2u);
-  EXPECT_EQ(client.cseq()[1].cfg, spec.id);
+    // The client still believes c0 is the tail; this write must land in the
+    // new configuration anyway.
+    auto payload2 = make_value(make_test_value(256, 2));
+    std::vector<Tag> wtags;
+    if (members == 1) {
+      wtags.push_back(
+          sim::run_to_completion(cluster.sim(), client.write(payload2)));
+    } else {
+      std::vector<ObjectId> objs{0, 1};
+      std::vector<ValuePtr> values{payload2, payload2};
+      wtags = sim::run_to_completion(cluster.sim(),
+                                     client.write_batch(objs, values));
+    }
+    for (ObjectId obj = 0; obj < members; ++obj) {
+      SCOPED_TRACE(obj);
+      ASSERT_EQ(client.cseq(obj).size(), 2u);
+      EXPECT_EQ(client.cseq(obj)[1].cfg, spec.id);
 
-  auto tv = sim::run_to_completion(cluster.sim(), cluster.client(1).read());
-  EXPECT_EQ(tv.tag, wtag);
-  EXPECT_EQ(*tv.value, *payload2);
+      auto tv =
+          sim::run_to_completion(cluster.sim(), cluster.client(1).read(obj));
+      EXPECT_EQ(tv.tag, wtags[obj]);
+      EXPECT_EQ(*tv.value, *payload2);
+    }
 
-  const auto verdict = checker::check_tag_atomicity(cluster.history().records());
-  EXPECT_TRUE(verdict.ok) << verdict.violation;
+    const auto verdict =
+        checker::check_tag_atomicity(cluster.history().records());
+    EXPECT_TRUE(verdict.ok) << verdict.violation;
+  }
 }
 
 TEST(FastPath, PiggybackedHintInvalidatesCachedCseqMidRead) {
