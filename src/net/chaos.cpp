@@ -99,10 +99,7 @@ ChaosController::Verdict ChaosController::message_fault(ProcessId from,
     v.drop = true;
     return v;
   }
-  if (duplicate_.active(now_us) && rng_.chance(duplicate_.rate)) {
-    ++duplicated_;
-    v.duplicate = true;
-  }
+  v.duplicate = duplicate_.active(now_us) && rng_.chance(duplicate_.rate);
   // Gray failure delays apply in both directions of the gray process.
   SimDuration delay = 0;
   for (ProcessId id : {from, to}) {
@@ -112,10 +109,7 @@ ChaosController::Verdict ChaosController::message_fault(ProcessId from,
       delay += hi > lo ? rng_.uniform(lo, hi) : lo;
     }
   }
-  if (delay > 0) {
-    ++delayed_;
-    v.delay_us = delay;
-  }
+  v.delay_us = delay;
   return v;
 }
 
@@ -135,16 +129,6 @@ ChaosController::SockFault ChaosController::sock_fault(SimTime now_us) {
 std::uint64_t ChaosController::messages_dropped() const {
   std::lock_guard<std::mutex> lk(mu_);
   return dropped_;
-}
-
-std::uint64_t ChaosController::messages_duplicated() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return duplicated_;
-}
-
-std::uint64_t ChaosController::messages_delayed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return delayed_;
 }
 
 std::uint64_t ChaosController::frames_torn() const {

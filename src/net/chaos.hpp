@@ -12,12 +12,13 @@
 //     over TCP are silent drops (the sim holds partitioned messages for
 //     later delivery; a real network cannot), so post-heal liveness comes
 //     from the retransmission layer, exactly as it would in production.
-//   * TcpTransport itself — consults the controller's socket-level script
-//     in its sender loop for mid-frame faults: kTear writes a truncated
-//     frame and kills the connection (the receiver sees a short read /
-//     corrupt header and drops the connection — PR 7's framing already
-//     survives this), kReset kills the connection before the frame is
-//     written (exercising reconnect-and-replay).
+//   * TcpTransport itself — its single write routine consults the
+//     controller's socket-level script once per write attempt of every
+//     frame, for mid-frame faults: kTear writes a truncated frame and
+//     kills the connection (the receiver sees a short read / corrupt
+//     header and drops the connection — the framing survives this),
+//     kReset kills the connection before the frame is written
+//     (exercising reconnect-and-replay).
 //
 // One ChaosController is shared by every node of a deployment (see
 // NetClusterOptions::chaos), so a "partition {0} from the rest" script
@@ -76,7 +77,7 @@ class ChaosController {
                 SimDuration extra_max_us);
   void clear_gray(ProcessId id);
 
-  /// Socket-level faults, consulted by TcpTransport's sender loops.
+  /// Socket-level faults, consulted by TcpTransport's write routine.
   void set_reset_rate(double p, SimDuration window_us = 0);
   void set_torn_rate(double p, SimDuration window_us = 0);
 
@@ -97,14 +98,12 @@ class ChaosController {
 
   enum class SockFault { kNone, kTear, kReset };
 
-  /// Per-frame socket fault for TcpTransport's sender loop.
+  /// Per-frame socket fault for one write attempt of TcpTransport.
   [[nodiscard]] SockFault sock_fault(SimTime now_us);
 
   // --- counters (assertable in tests) ---------------------------------------
 
   [[nodiscard]] std::uint64_t messages_dropped() const;
-  [[nodiscard]] std::uint64_t messages_duplicated() const;
-  [[nodiscard]] std::uint64_t messages_delayed() const;
   [[nodiscard]] std::uint64_t frames_torn() const;
   [[nodiscard]] std::uint64_t frames_reset() const;
 
@@ -132,8 +131,6 @@ class ChaosController {
   RateWindow torn_;
   std::map<ProcessId, std::pair<SimDuration, SimDuration>> gray_;
   std::uint64_t dropped_ = 0;
-  std::uint64_t duplicated_ = 0;
-  std::uint64_t delayed_ = 0;
   std::uint64_t torn_count_ = 0;
   std::uint64_t reset_count_ = 0;
 };

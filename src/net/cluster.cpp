@@ -18,7 +18,7 @@ TcpTransport::Options listen_options(const std::string& host) {
 
 }  // namespace
 
-/// One server process: its own event loop, listener, and timer thread.
+/// One server process: its own event loop, listener, and driver thread.
 struct NetCluster::ServerNode {
   NodeRuntime rt;
   TcpTransport tcp;
@@ -122,6 +122,11 @@ NetCluster::NetCluster(NetClusterOptions options)
         options_.seed + 1001 + j, static_cast<ProcessId>(100 + j), registry_,
         book_, options_);
     node->tcp.start();
+    // A lease holder answers invalidations between its own operations.
+    if (options_.lease_us > 0 &&
+        options_.lease_policy == dap::LeasePolicy::kInvalidate) {
+      node->rt.start_driver();
+    }
     clients_.push_back(std::move(node));
   }
 }
@@ -202,10 +207,6 @@ void NetCluster::kill_server(std::size_t i) {
   s.tcp.stop();
   s.rt.stop_driver();
   s.alive = false;
-}
-
-bool NetCluster::server_alive(std::size_t i) const {
-  return servers_.at(i)->alive;
 }
 
 reconfig::AresClient& NetCluster::client(std::size_t c) {

@@ -1,11 +1,13 @@
 // NetCluster: a full ARES deployment over localhost TCP — the socket-backend
 // sibling of harness::AresCluster. Every server and every client gets its
-// own NodeRuntime (private simulator-as-event-loop, own threads, own wall
-// clock pump) and its own TcpTransport; the protocol objects are the exact
-// classes the deterministic simulator runs. The cluster surface is
-// blocking: read()/write() start the operation on the owning client's
-// runtime and block the calling thread until it completes, so OS threads
-// can drive concurrent clients (see run_net_workload).
+// own NodeRuntime (private simulator-as-event-loop with one epoll set, own
+// wall clock pump) and its own TcpTransport; the protocol objects are the
+// exact classes the deterministic simulator runs. A server node runs one
+// thread, its driver. A client node has none: the caller blocked in
+// read()/write() polls its sockets, so OS threads can drive concurrent
+// clients (see run_net_workload) — except under invalidated read leases,
+// where a holder must answer invalidations between its own operations (or
+// every writer waits out the window), so each client runs a driver too.
 //
 // v1 scope (documented, enforced by the harness not the protocol): the
 // configuration registry is built up front and shared immutably across all
@@ -119,10 +121,9 @@ class NetCluster {
   /// per phase for members sharing a configuration).
   std::vector<OpResult> read_batch(std::size_t c, std::vector<ObjectId> objs);
 
-  /// SIGKILL-equivalent: tear down server `i`'s transport and timer thread
+  /// SIGKILL-equivalent: tear down server `i`'s transport and driver
   /// mid-run. Peers see dead connections; in-flight frames to it vanish.
   void kill_server(std::size_t i);
-  [[nodiscard]] bool server_alive(std::size_t i) const;
 
   /// Client `c`'s protocol object / failure detector / transport (tests,
   /// diagnostics).

@@ -67,15 +67,6 @@ bool FailureDetector::allow_op_probe(SimTime now_us) {
   return false;
 }
 
-std::vector<ProcessId> FailureDetector::suspects(SimTime now_us) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::vector<ProcessId> out;
-  for (auto& [id, p] : peers_) {
-    if (eval(p, now_us)) out.push_back(id);
-  }
-  return out;
-}
-
 std::uint64_t FailureDetector::suspicions() const {
   std::lock_guard<std::mutex> lk(mu_);
   return suspicions_;

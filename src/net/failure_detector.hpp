@@ -7,7 +7,7 @@
 // the heartbeat).
 //
 // Consumers:
-//   * TcpTransport::enqueue fast-fails frames to suspected peers (with one
+//   * TcpTransport::send fast-fails frames to suspected peers (with one
 //     probe frame allowed per probe_interval so healing can be observed),
 //     and the dial path shrinks its retry budget for suspected peers so a
 //     reconnect stampede never forms against a dead server.
@@ -16,9 +16,10 @@
 //     remain — with one full-op probe per probe_interval, which both
 //     detects healing and re-arms suspicion.
 //
-// Thread-safe: sender threads, reader threads and client callers all poke
-// it concurrently. Like everything wall-clock on this backend, timestamps
-// are NodeRuntime::unix_now_us().
+// Thread-safe: the client node's transport pokes it under the node lock
+// (from whichever thread polls that node), while the admission gate reads
+// it from the caller's thread without that lock. Like everything
+// wall-clock on this backend, timestamps are NodeRuntime::unix_now_us().
 #pragma once
 
 #include "common/types.hpp"
@@ -26,7 +27,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <vector>
 
 namespace ares::net {
 
@@ -70,8 +70,6 @@ class FailureDetector {
   /// quorum looks unreachable, lets one operation per probe_interval
   /// through anyway so its traffic can heal the detector.
   [[nodiscard]] bool allow_op_probe(SimTime now_us);
-
-  [[nodiscard]] std::vector<ProcessId> suspects(SimTime now_us) const;
 
   [[nodiscard]] std::uint64_t suspicions() const;
   [[nodiscard]] std::uint64_t heals() const;

@@ -6,9 +6,12 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -17,57 +20,23 @@ namespace ares::net {
 
 namespace {
 
-/// Send data[0..len) until all of it is out or send() stops short: an
-/// error, or (MSG_DONTWAIT in `flags`) a full socket buffer. MSG_NOSIGNAL
-/// so a peer that died mid-write yields EPIPE instead of killing the
-/// process. Returns the bytes written; errno says why it stopped short.
-std::size_t send_some(int fd, const std::uint8_t* data, std::size_t len,
-                      int flags) {
-  std::size_t done = 0;
-  while (done < len) {
-    const ssize_t n =
-        ::send(fd, data + done, len - done, flags | MSG_NOSIGNAL);
-    if (n > 0) {
-      done += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n == 0) errno = EPIPE;
-    break;
-  }
-  return done;
-}
+/// Most queued frames one writev carries.
+constexpr std::size_t kMaxBatch = 64;
 
-bool read_exact(int fd, std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::recv(fd, data, len, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
+/// Free space a connection's receive buffer keeps for the next recv.
+constexpr std::size_t kMinRead = 16 * 1024;
 
 void set_nodelay(int fd) {
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-int dial(const std::string& host, std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
+bool to_sockaddr(const std::string& host, std::uint16_t port,
+                 sockaddr_in& addr) {
+  addr = sockaddr_in{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
+  return ::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) == 1;
 }
 
 }  // namespace
@@ -107,11 +76,6 @@ std::optional<Endpoint> AddressBook::find(ProcessId id) const {
 
 TcpTransport::Sock::~Sock() { ::close(fd); }
 
-void TcpTransport::Sock::kill() {
-  dead.store(true);
-  ::shutdown(fd, SHUT_RDWR);
-}
-
 TcpTransport::TcpTransport(NodeRuntime& rt, std::shared_ptr<AddressBook> book)
     : TcpTransport(rt, std::move(book), Options{}) {}
 
@@ -122,101 +86,97 @@ TcpTransport::TcpTransport(NodeRuntime& rt, std::shared_ptr<AddressBook> book,
 TcpTransport::~TcpTransport() { stop(); }
 
 void TcpTransport::start() {
-  running_.store(true);
-  if (!opt_.listen) return;
+  rt_.run([this] {
+    alive_ = std::make_shared<int>(0);
+    running_.store(true);
+    if (!opt_.listen) return;
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw std::runtime_error("TcpTransport: socket() failed");
-  int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(opt_.listen_port);
-  if (::inet_pton(AF_INET, opt_.listen_host.c_str(), &addr.sin_addr) != 1) {
-    throw std::runtime_error("TcpTransport: bad listen host");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(listen_fd_, 64) != 0) {
-    throw std::runtime_error(std::string("TcpTransport: bind/listen: ") +
-                             std::strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
-  accept_thread_ = std::thread(&TcpTransport::accept_loop, this);
+    listen_fd_ =
+        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    int one = 1;
+    sockaddr_in addr{};
+    if (listen_fd_ < 0 ||
+        ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
+                     sizeof(one)) != 0 ||
+        !to_sockaddr(opt_.listen_host, opt_.listen_port, addr) ||
+        ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+               sizeof(addr)) != 0 ||
+        ::listen(listen_fd_, 64) != 0) {
+      throw std::runtime_error("TcpTransport: cannot listen on " +
+                               opt_.listen_host + ": " +
+                               std::strerror(errno));
+    }
+    socklen_t len = sizeof(addr);
+    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    listen_token_ =
+        rt_.watch(listen_fd_, EPOLLIN, [this](std::uint32_t) { on_accept(); });
+  });
 }
 
 void TcpTransport::stop() {
-  if (!running_.exchange(false)) return;
-
-  // Wake the accept loop (on Linux shutdown() makes a blocked accept()
-  // return), then the readers.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-
-  std::vector<Conn> conns;
-  {
-    std::lock_guard<std::mutex> lk(io_mu_);
-    conns = std::move(conns_);
-    conns_.clear();
-    routes_.clear();
-  }
-  // Killing every connection also unblocks a sender stuck mid-write.
-  for (auto& c : conns) c.sock->kill();
-  for (auto& c : conns) {
-    if (c.reader.joinable()) c.reader.join();
-  }
-
-  std::vector<Outbox*> boxes;
-  {
-    std::lock_guard<std::mutex> lk(out_mu_);
-    for (auto& [id, box] : outboxes_) boxes.push_back(box.get());
-  }
-  for (Outbox* box : boxes) {
-    {
-      std::lock_guard<std::mutex> lk(box->mu);
-      box->stop = true;
+  if (!running_.load()) return;
+  rt_.run([this] {
+    if (!running_.exchange(false)) return;
+    alive_.reset();  // pending dial retries become no-ops
+    if (listen_fd_ >= 0) {
+      rt_.unwatch(listen_fd_, listen_token_);
+      ::close(listen_fd_);
+      listen_fd_ = -1;
     }
-    box->cv.notify_all();
-    if (box->th.joinable()) box->th.join();
-    std::lock_guard<std::mutex> lk(box->mu);
-    box->q.clear();
-    box->pinned.reset();
-  }
-  // The last references to the connections drop here, closing their fds.
+    const std::vector<std::shared_ptr<Sock>> conns = std::move(conns_);
+    conns_.clear();
+    for (const auto& s : conns) kill(*s);
+    for (auto& [dest, box] : outboxes_) {
+      if (box->dialing) rt_.unwatch(box->dialing->fd, box->dialing->token);
+      box->dialing.reset();
+      box->retry_armed = false;
+      box->q.clear();
+      sync_depth(*box);
+    }
+  });
 }
 
-void TcpTransport::register_process(sim::Process& p) {
-  std::lock_guard<std::mutex> lk(procs_mu_);
-  procs_[p.id()] = &p;
-}
+void TcpTransport::register_process(sim::Process& p) { procs_[p.id()] = &p; }
 
-void TcpTransport::unregister_process(ProcessId id) {
-  std::lock_guard<std::mutex> lk(procs_mu_);
-  procs_.erase(id);
-}
+void TcpTransport::unregister_process(ProcessId id) { procs_.erase(id); }
 
 void TcpTransport::send(ProcessId from, ProcessId to, sim::BodyPtr body) {
-  // Same-node shortcut: a co-hosted destination is reached through the
-  // node's own event queue (send() always runs under the node lock with
-  // Simulator::current() set, so post() is safe here).
-  {
-    std::lock_guard<std::mutex> lk(procs_mu_);
-    if (procs_.contains(to)) {
-      rt_.simulator().post(
-          [this, from, to, body] { local_deliver(from, to, body); });
-      return;
-    }
+  // A co-hosted destination is reached through the node's event queue.
+  if (procs_.contains(to)) {
+    rt_.simulator().post(
+        [this, from, to, body] { local_deliver(from, to, body); });
+    return;
   }
   if (!running_.load()) return;  // crashed/stopped node: frames vanish
-  enqueue(to, wire::encode_frame(from, to, *body));
+  // Fast-fail frames to suspected peers (modulo the detector's probe
+  // allowance) — dropped here is indistinguishable from dropped by the
+  // network, which the protocols already tolerate, and it keeps a dead
+  // peer's queue from soaking up memory.
+  if (detector_) {
+    const SimTime now = NodeRuntime::unix_now_us();
+    if (!detector_->allow_send(to, now)) {
+      frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    // Arm the silence clock when the frame is handed to the transport, not
+    // when a write succeeds: a peer whose connection died and never comes
+    // back would otherwise be invisible to the timeout rule.
+    detector_->note_send(to, now);
+  }
+  Outbox& box = outbox(to);
+  const bool idle = box.q.empty() && !box.pinned;
+  box.q.push_back(Queued{wire::encode_frame(from, to, *body), 0, {}});
+  // Bounded queue: drop the OLDEST while over budget (see Options). A
+  // pinned partial frame counts toward the depth but is never dropped:
+  // its prefix is already on the wire.
+  while (opt_.max_queue_frames > 0 &&
+         box.q.size() + (box.pinned ? 1 : 0) > opt_.max_queue_frames) {
+    box.q.pop_front();
+    frames_dropped_overflow_.fetch_add(1, std::memory_order_relaxed);
+    frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+  }
+  kick(to, box, idle);
 }
 
 void TcpTransport::atomic_broadcast(ProcessId from,
@@ -227,362 +187,381 @@ void TcpTransport::atomic_broadcast(ProcessId from,
   for (ProcessId d : dests) send(from, d, body);
 }
 
-void TcpTransport::enqueue(ProcessId to, std::vector<std::uint8_t> frame) {
-  // Fast-fail frames to suspected peers (modulo the detector's probe
-  // allowance) — dropped here is indistinguishable from dropped by the
-  // network, which the protocols already tolerate, and it keeps a dead
-  // peer's queue from soaking up memory and sender-thread time.
-  if (detector_) {
-    const SimTime now = NodeRuntime::unix_now_us();
-    if (!detector_->allow_send(to, now)) {
-      frames_fastfailed_.fetch_add(1, std::memory_order_relaxed);
-      frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    // Arm the silence clock when the frame is handed to the transport, not
-    // when a write succeeds: a peer whose connection died and never comes
-    // back would otherwise be invisible to the timeout rule.
-    detector_->note_send(to, now);
-  }
-  Outbox* box = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(out_mu_);
-    if (!running_.load()) return;
-    auto& slot = outboxes_[to];
-    if (!slot) slot = std::make_unique<Outbox>();
-    box = slot.get();
-  }
-  std::unique_lock<std::mutex> lk(box->mu);
-  if (box->stop) return;
-  std::shared_ptr<Sock> sock;
-  if (!box->writing && box->depth() == 0) sock = live_route(to);
-  if (!sock) {
-    queue_locked(to, *box, Queued{std::move(frame), 0}, /*front=*/false);
-    return;
-  }
-
-  // Nothing is ahead of this frame and a connection is up: write it from
-  // this thread without blocking. `writing` keeps every other frame for
-  // `to` queued behind it meanwhile.
-  box->writing = true;
-  lk.unlock();
-  WriteOutcome out = WriteOutcome::kBlocked;
-  {
-    // Never wait for the connection: its other user may be a sender
-    // thread in a blocking write.
-    std::unique_lock<std::mutex> wl(sock->write_mu, std::try_to_lock);
-    if (wl.owns_lock() && sock->rest.empty()) {
-      frames_inline_.fetch_add(1, std::memory_order_relaxed);
-      out = write_frame(*sock, frame, /*blocking=*/false);
-    }
-  }
-  lk.lock();
-  box->writing = false;
-  if (box->stop) return;
-  if (out == WriteOutcome::kPartial) {
-    box->pinned = std::move(sock);
-  } else if (out == WriteOutcome::kBlocked || out == WriteOutcome::kFailed) {
-    // The frame is still whole: it goes back to the head of the queue,
-    // and a failed attempt counts against its replay budget.
-    const int used = out == WriteOutcome::kFailed ? 1 : 0;
-    queue_locked(to, *box, Queued{std::move(frame), used}, /*front=*/true);
-  }
-  // Frames queued behind this one while it was being written wait for
-  // the sender too.
-  if (box->depth() > 0) wake_sender_locked(to, *box);
-}
-
-void TcpTransport::queue_locked(ProcessId dest, Outbox& box, Queued item,
-                                bool front) {
-  if (front) {
-    box.q.push_front(std::move(item));
-  } else {
-    box.q.push_back(std::move(item));
-  }
-  // Bounded queue: drop the OLDEST while over budget (see Options). A
-  // pinned partial frame counts toward the depth but is never dropped:
-  // its prefix is already on the wire.
-  while (opt_.max_queue_frames > 0 && box.depth() > opt_.max_queue_frames &&
-         !box.q.empty()) {
-    box.q.pop_front();
-    frames_dropped_overflow_.fetch_add(1, std::memory_order_relaxed);
-    frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-  }
-  wake_sender_locked(dest, box);
-}
-
-void TcpTransport::wake_sender_locked(ProcessId dest, Outbox& box) {
-  if (box.stop) return;  // stop() joins only a thread that exists by then
-  if (!box.th.joinable()) {
-    box.th = std::thread(&TcpTransport::sender_loop, this, dest, &box);
-  }
-  box.cv.notify_one();
+TcpTransport::Outbox& TcpTransport::outbox(ProcessId dest) {
+  auto it = outboxes_.find(dest);
+  if (it != outboxes_.end()) return *it->second;
+  std::lock_guard<std::mutex> lk(out_mu_);
+  return *outboxes_.emplace(dest, std::make_unique<Outbox>()).first->second;
 }
 
 std::size_t TcpTransport::queue_depth(ProcessId dest) const {
   std::lock_guard<std::mutex> lk(out_mu_);
   auto it = outboxes_.find(dest);
   if (it == outboxes_.end()) return 0;
-  std::lock_guard<std::mutex> qlk(it->second->mu);
-  return it->second->depth();
+  return it->second->depth.load(std::memory_order_relaxed);
 }
 
-void TcpTransport::sender_loop(ProcessId dest, Outbox* box) {
-  std::unique_lock<std::mutex> lk(box->mu);
-  for (;;) {
-    box->cv.wait(lk, [&] {
-      return box->stop || (!box->writing && box->depth() > 0);
-    });
-    if (box->stop) return;
-    box->writing = true;
-    std::shared_ptr<Sock> pinned = std::move(box->pinned);
-    Queued item;
-    if (!pinned) {
-      item = std::move(box->q.front());
-      box->q.pop_front();
+void TcpTransport::sync_depth(Outbox& box) {
+  box.depth.store(box.q.size() + (box.pinned ? 1 : 0),
+                  std::memory_order_relaxed);
+}
+
+void TcpTransport::kick(ProcessId dest, Outbox& box, bool from_send) {
+  while (!box.q.empty() && running_.load() && !box.dialing &&
+         !box.retry_armed) {
+    if (!box.route || box.route->dead) {
+      start_dial(dest, box);
+      break;
     }
-    lk.unlock();
-    if (pinned) {
-      std::lock_guard<std::mutex> wl(pinned->write_mu);
-      (void)finish_rest_locked(*pinned);
-    } else {
-      send_queued(dest, std::move(item));
+    const std::shared_ptr<Sock> sock = box.route;
+    if (sock->want_out) break;
+    if (from_send) {
+      frames_inline_.fetch_add(1, std::memory_order_relaxed);
+      from_send = false;
     }
-    lk.lock();
-    box->writing = false;
+    if (write_queued(*sock, box)) {
+      set_want_out(*sock, true);
+      break;
+    }
   }
+  sync_depth(box);
 }
 
-void TcpTransport::send_queued(ProcessId dest, Queued item) {
-  // Reconnect-and-replay: a frame whose write fails (or whose connection
-  // is chaos-reset before the write) is re-offered to a freshly dialed
-  // connection a bounded number of times before being dropped.
-  for (int attempt = item.attempts; attempt <= opt_.write_replay_attempts;
-       ++attempt) {
-    auto sock = route_or_dial(dest);
-    if (!sock) break;
-    if (attempt > 0) {
+bool TcpTransport::write_queued(Sock& sock, Outbox& box) {
+  iovec iov[kMaxBatch + 1];
+  std::size_t n_iov = 0;
+  const std::size_t rest = sock.rest.size();
+  if (rest > 0) iov[n_iov++] = {sock.rest.data(), rest};
+  // Each frame draws its fault once per write attempt; a draw whose frame
+  // the socket did not reach is kept for the next attempt.
+  std::size_t batch = 0;
+  ChaosController::SockFault fault = ChaosController::SockFault::kNone;
+  while (batch < box.q.size() && batch < kMaxBatch) {
+    Queued& item = box.q[batch];
+    if (!item.fault) {
+      item.fault = chaos_ ? chaos_->sock_fault(NodeRuntime::unix_now_us())
+                          : ChaosController::SockFault::kNone;
+    }
+    fault = *item.fault;
+    if (fault != ChaosController::SockFault::kNone) break;
+    iov[n_iov++] = {item.frame.data(), item.frame.size()};
+    ++batch;
+  }
+
+  // A short count means a full socket buffer; an error behind it shows up
+  // on the next attempt.
+  std::size_t left = 0;
+  bool broken = false;
+  if (n_iov > 0) {
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n_iov;
+    ssize_t n = 0;
+    do {
+      n = ::sendmsg(sock.fd, &msg, MSG_DONTWAIT | MSG_NOSIGNAL);
+    } while (n < 0 && errno == EINTR);
+    if (n >= 0) left = static_cast<std::size_t>(n);
+    broken = n < 0 && errno != EAGAIN && errno != EWOULDBLOCK;
+  }
+  if (rest > 0) {
+    if (left < rest) {
+      if (broken) {
+        kill(sock);  // drops the tail with the connection
+        return false;
+      }
+      sock.rest.erase(sock.rest.begin(),
+                      sock.rest.begin() + static_cast<std::ptrdiff_t>(left));
+      return true;
+    }
+    left -= rest;
+    sock.rest = {};
+    sock.rest_of->pinned = false;
+    sync_depth(*sock.rest_of);
+    sock.rest_of = nullptr;
+    frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  const auto pop_head = [&] {
+    if (box.q.front().attempts > 0) {
       frames_replayed_.fetch_add(1, std::memory_order_relaxed);
     }
-    std::lock_guard<std::mutex> wl(sock->write_mu);
-    if (!finish_rest_locked(*sock)) continue;
-    const WriteOutcome out = write_frame(*sock, item.frame, /*blocking=*/true);
-    if (out == WriteOutcome::kSent || out == WriteOutcome::kTorn) return;
-  }
-  frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-}
+    box.q.pop_front();
+  };
+  // A reset, or a write error part-way: the peer discards a frame cut
+  // short by a dead connection, so the whole frame may be replayed on a
+  // new one, within its budget.
+  const auto fail_head = [&] {
+    kill(sock);
+    Queued& head = box.q.front();
+    head.fault.reset();
+    if (head.attempts > 0) {
+      frames_replayed_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (++head.attempts > opt_.write_replay_attempts) {
+      box.q.pop_front();
+      frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return false;
+  };
 
-TcpTransport::WriteOutcome TcpTransport::write_frame(
-    Sock& sock, std::vector<std::uint8_t>& frame, bool blocking) {
-  const int flags = blocking ? 0 : MSG_DONTWAIT;
-  ChaosController::SockFault fault = ChaosController::SockFault::kNone;
-  if (chaos_) fault = chaos_->sock_fault(NodeRuntime::unix_now_us());
+  for (; batch > 0 && left >= box.q.front().frame.size(); --batch) {
+    left -= box.q.front().frame.size();
+    pop_head();
+    frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (batch > 0) {
+    if (broken) return fail_head();
+    if (left > 0) {
+      const std::vector<std::uint8_t>& frame = box.q.front().frame;
+      sock.rest.assign(frame.begin() + static_cast<std::ptrdiff_t>(left),
+                       frame.end());
+      sock.rest_of = &box;
+      box.pinned = true;
+      pop_head();
+    }
+    return true;
+  }
   if (fault == ChaosController::SockFault::kTear) {
     // Torn frame: write a truncated prefix, then kill the connection. The
     // peer sees a short read mid-frame and drops the connection; the frame
     // is consumed (its bytes went out) — liveness comes from the
     // retransmission layer, not replay.
-    (void)send_some(sock.fd, frame.data(), frame.size() / 2, flags);
-    sock.kill();
+    const std::vector<std::uint8_t>& frame = box.q.front().frame;
+    (void)!::send(sock.fd, frame.data(), frame.size() / 2,
+                  MSG_DONTWAIT | MSG_NOSIGNAL);
+    kill(sock);
+    pop_head();
     frames_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return WriteOutcome::kTorn;
+    return false;
   }
-  if (fault == ChaosController::SockFault::kReset) {
-    // Connection reset before the frame hit the wire: the frame is still
-    // intact, so it is eligible for replay on a new connection.
-    sock.kill();
-    return WriteOutcome::kFailed;
-  }
-  const std::size_t n = send_some(sock.fd, frame.data(), frame.size(), flags);
-  if (n == frame.size()) {
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    return WriteOutcome::kSent;
-  }
-  if (!blocking && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-    if (n == 0) return WriteOutcome::kBlocked;
-    sock.rest.assign(frame.begin() + static_cast<std::ptrdiff_t>(n),
-                     frame.end());
-    return WriteOutcome::kPartial;
-  }
-  // The peer discards a frame cut short by a dead connection, so the whole
-  // frame may be replayed on a new one.
-  sock.kill();
-  return WriteOutcome::kFailed;
-}
-
-bool TcpTransport::finish_rest_locked(Sock& sock) {
-  if (sock.rest.empty()) return true;
-  const bool ok = send_some(sock.fd, sock.rest.data(), sock.rest.size(), 0) ==
-                  sock.rest.size();
-  sock.rest = {};
-  if (ok) {
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  sock.kill();
-  frames_dropped_.fetch_add(1, std::memory_order_relaxed);
+  // A reset strikes before the frame hits the wire: the frame is intact,
+  // so it is eligible for replay on a new connection.
+  if (fault == ChaosController::SockFault::kReset) return fail_head();
   return false;
 }
 
-std::shared_ptr<TcpTransport::Sock> TcpTransport::live_route(ProcessId dest) {
-  std::lock_guard<std::mutex> lk(io_mu_);
-  auto it = routes_.find(dest);
-  if (it == routes_.end() || it->second->dead.load()) return nullptr;
-  return it->second;
+void TcpTransport::drop_queue(Outbox& box) {
+  frames_dropped_.fetch_add(box.q.size(), std::memory_order_relaxed);
+  box.q.clear();
+  sync_depth(box);
 }
 
-std::shared_ptr<TcpTransport::Sock> TcpTransport::route_or_dial(
-    ProcessId dest) {
-  bool had_route = false;
-  {
-    std::lock_guard<std::mutex> lk(io_mu_);
-    auto it = routes_.find(dest);
-    if (it != routes_.end()) {
-      if (!it->second->dead.load()) return it->second;
-      routes_.erase(it);
-    }
-    // "Previously connected" must survive the reader thread erasing a dead
-    // route, or the generous first-dial budget re-applies to a crashed
-    // peer and suspicion latches seconds late (see known_peers_).
-    had_route = known_peers_.contains(dest);
-    auto dit = down_until_.find(dest);
-    if (dit != down_until_.end() &&
-        std::chrono::steady_clock::now() < dit->second) {
-      return nullptr;
-    }
+void TcpTransport::start_dial(ProcessId dest, Outbox& box) {
+  if (rt_.simulator().now() < box.down_until || !book_ ||
+      !book_->find(dest)) {
+    drop_queue(box);  // down, or not a published (dialable) process
+    return;
   }
-  std::optional<Endpoint> ep = book_ ? book_->find(dest) : std::nullopt;
-  if (!ep) return nullptr;  // only published processes can be dialed
-
-  // A suspected peer gets a single cheap attempt: spending the full dial
-  // budget on a peer the detector already condemned would stall this
-  // sender thread (and, across clients, synchronize a reconnect storm).
-  int attempts = had_route ? opt_.redial_attempts : opt_.dial_attempts;
+  // Destinations connected before get the small budget: the generous one
+  // covers only the startup race. A suspected peer gets a single cheap
+  // attempt: spending a budget on a peer the detector already condemned
+  // would only delay its fast-fails.
+  box.dial_budget =
+      box.known ? opt_.redial_attempts : opt_.dial_attempts;
   if (detector_ && detector_->suspected(dest, NodeRuntime::unix_now_us())) {
-    attempts = 1;
+    box.dial_budget = 1;
   }
-  const std::uint64_t salt =
-      (static_cast<std::uint64_t>(dest) << 32) ^
-      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(this));
-  for (int i = 0; i < attempts && running_.load(); ++i) {
-    if (i > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          jittered_dial_delay_ms(opt_.dial_retry_ms, opt_.dial_retry_jitter_pct,
-                                 salt, i)));
-    }
-    const int fd = dial(ep->host, ep->port);
-    if (fd < 0) continue;
-    auto sock = adopt_fd(fd);
-    if (!sock) {
-      ::close(fd);
-      return nullptr;
-    }
-    // A completed TCP handshake is affirmative evidence the peer is back
-    // (its listener answered), so heal any standing suspicion now rather
-    // than waiting for the first reply frame.
-    if (detector_) detector_->note_receive(dest, NodeRuntime::unix_now_us());
-    std::lock_guard<std::mutex> lk(io_mu_);
-    routes_[dest] = sock;
-    known_peers_.insert(dest);
-    return sock;
+  box.dial_attempt = 0;
+  if (box.dial_budget > 0) {
+    dial_once(dest, box);
+  } else {
+    dial_failed(dest, box);
+  }
+}
+
+void TcpTransport::dial_once(ProcessId dest, Outbox& box) {
+  ++box.dial_attempt;
+  const std::optional<Endpoint> ep = book_->find(dest);
+  sockaddr_in addr{};
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0 || !ep || !to_sockaddr(ep->host, ep->port, addr) ||
+      (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 &&
+       errno != EINPROGRESS)) {
+    if (fd >= 0) ::close(fd);
+    dial_failed(dest, box);
+    return;
+  }
+  // Connected or not, the outcome arrives as EPOLLOUT.
+  auto sock = std::make_shared<Sock>(fd);
+  sock->token = rt_.watch(fd, EPOLLOUT, [this, dest, sock](std::uint32_t) {
+    on_dialed(dest, sock);
+  });
+  box.dialing = std::move(sock);
+}
+
+void TcpTransport::on_dialed(ProcessId dest,
+                             const std::shared_ptr<Sock>& sock) {
+  Outbox& box = outbox(dest);
+  box.dialing.reset();
+  rt_.unwatch(sock->fd, sock->token);
+  int err = 0;
+  socklen_t len = sizeof(err);
+  if (::getsockopt(sock->fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
+      err != 0) {
+    dial_failed(dest, box);
+    return;
+  }
+  // A completed TCP handshake is affirmative evidence the peer is back
+  // (its listener answered), so heal any standing suspicion now rather
+  // than waiting for the first reply frame.
+  if (detector_) detector_->note_receive(dest, NodeRuntime::unix_now_us());
+  adopt(sock);
+  box.route = sock;
+  box.known = true;
+  kick(dest, box);
+}
+
+void TcpTransport::dial_failed(ProcessId dest, Outbox& box) {
+  if (box.dial_attempt < box.dial_budget) {
+    const std::uint64_t salt =
+        (static_cast<std::uint64_t>(dest) << 32) ^
+        static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(this));
+    const int ms = jittered_dial_delay_ms(
+        opt_.dial_retry_ms, opt_.dial_retry_jitter_pct, salt, box.dial_attempt);
+    box.retry_armed = true;
+    rt_.simulator().schedule_after(
+        static_cast<SimDuration>(ms) * 1'000,
+        [this, alive = std::weak_ptr<void>(alive_), dest, &box] {
+          if (alive.expired()) return;
+          box.retry_armed = false;
+          dial_once(dest, box);
+        });
+    return;
   }
   if (detector_) {
     detector_->note_dial_failure(dest, NodeRuntime::unix_now_us());
   }
-  std::lock_guard<std::mutex> lk(io_mu_);
-  down_until_[dest] = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(opt_.down_ms);
-  return nullptr;
+  box.down_until = rt_.simulator().now() +
+                   static_cast<SimDuration>(opt_.down_ms) * 1'000;
+  drop_queue(box);
 }
 
-std::shared_ptr<TcpTransport::Sock> TcpTransport::adopt_fd(int fd) {
-  set_nodelay(fd);
-  std::lock_guard<std::mutex> lk(io_mu_);
-  if (!running_.load()) return nullptr;
-  // Reap the readers of ended connections, so resets and redials leave no
-  // thread or (once the last reference drops) fd behind.
-  for (auto it = conns_.begin(); it != conns_.end();) {
-    if (it->sock->reader_done) {
-      it->reader.join();
-      it = conns_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  auto sock = std::make_shared<Sock>(fd);
-  conns_.push_back(
-      Conn{sock, std::thread(&TcpTransport::reader_loop, this, sock)});
-  return sock;
+void TcpTransport::adopt(const std::shared_ptr<Sock>& sock) {
+  set_nodelay(sock->fd);
+  sock->token = rt_.watch(sock->fd, EPOLLIN, [this, sock](std::uint32_t ev) {
+    on_ready(sock, ev);
+  });
+  conns_.push_back(sock);
 }
 
-void TcpTransport::accept_loop() {
+void TcpTransport::on_accept() {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (running_.load() && (errno == EINTR || errno == ECONNABORTED)) {
-        continue;
-      }
-      return;
-    }
-    if (adopt_fd(fd) == nullptr) {
-      ::close(fd);
+    const int fd =
+        ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd >= 0) {
+      adopt(std::make_shared<Sock>(fd));
+    } else if (errno != EINTR && errno != ECONNABORTED) {
       return;
     }
   }
 }
 
-void TcpTransport::reader_loop(std::shared_ptr<Sock> sock) {
-  std::vector<std::uint8_t> buf;
+void TcpTransport::on_ready(const std::shared_ptr<Sock>& sock,
+                            std::uint32_t events) {
+  if (sock->dead) return;
+  const bool writable = (events & EPOLLOUT) != 0;
+  if (writable) {
+    set_want_out(*sock, false);
+    // Finish the pinned tail first, whether or not frames queue behind it.
+    if (sock->rest_of != nullptr && write_queued(*sock, *sock->rest_of)) {
+      set_want_out(*sock, true);
+    }
+  }
+  if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) && !sock->dead &&
+      !read_frames(sock)) {
+    kill(*sock);
+  }
+  // A drained or ended connection moves the queues waiting on it.
+  if (writable || sock->dead) {
+    for (auto& [dest, box] : outboxes_) kick(dest, *box);
+  }
+}
+
+bool TcpTransport::read_frames(const std::shared_ptr<Sock>& sock) {
+  Sock& s = *sock;
   for (;;) {
-    std::uint8_t hdr[4];
-    if (!read_exact(sock->fd, hdr, sizeof(hdr))) break;
-    const std::uint32_t len = static_cast<std::uint32_t>(hdr[0]) |
-                              static_cast<std::uint32_t>(hdr[1]) << 8 |
-                              static_cast<std::uint32_t>(hdr[2]) << 16 |
-                              static_cast<std::uint32_t>(hdr[3]) << 24;
-    if (len < wire::kFrameHeaderBytes - 4 || len > wire::kMaxFrameBytes) break;
-    buf.resize(len);
-    if (!read_exact(sock->fd, buf.data(), len)) break;
-
-    wire::DecodedFrame frame;
-    try {
-      frame = wire::decode_frame(buf.data(), len);
-    } catch (const wire::WireError&) {
-      break;  // corrupt peer: drop the connection
+    if (s.in.size() - s.in_len < kMinRead) s.in.resize(s.in_len + kMinRead);
+    const std::size_t space = s.in.size() - s.in_len;
+    const ssize_t n = ::recv(s.fd, s.in.data() + s.in_len, space, 0);
+    if (n == 0) return false;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return errno == EAGAIN || errno == EWOULDBLOCK;
     }
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
-    if (detector_) {
-      detector_->note_receive(frame.from, NodeRuntime::unix_now_us());
-    }
-
-    // Learn/refresh the route: this connection reaches frame.from.
-    {
-      std::lock_guard<std::mutex> lk(io_mu_);
-      auto it = routes_.find(frame.from);
-      if (it == routes_.end() || it->second->dead.load()) {
-        routes_[frame.from] = sock;
+    s.in_len += static_cast<std::size_t>(n);
+    std::size_t off = 0;
+    while (s.in_len - off >= 4) {
+      const std::uint8_t* h = s.in.data() + off;
+      const std::uint32_t len = h[0] | h[1] << 8 | h[2] << 16 |
+                                static_cast<std::uint32_t>(h[3]) << 24;
+      if (len < wire::kFrameHeaderBytes - 4 || len > wire::kMaxFrameBytes) {
+        return false;  // corrupt peer: drop the connection
       }
-      known_peers_.insert(frame.from);
+      if (s.in_len - off - 4 < len) {
+        // Room for the whole frame once the consumed bytes move out.
+        s.in.resize(std::max<std::size_t>(s.in.size(), 4 + len + kMinRead));
+        break;
+      }
+      wire::DecodedFrame frame;
+      try {
+        frame = wire::decode_frame(s.in.data() + off + 4, len);
+      } catch (const wire::WireError&) {
+        return false;
+      }
+      off += 4 + len;
+      // Stamp each frame with its own delivery time: the handlers of the
+      // frames ahead of it may have run for a while.
+      rt_.pump_locked();
+      frames_received_.fetch_add(1, std::memory_order_relaxed);
+      if (detector_) {
+        detector_->note_receive(frame.from, NodeRuntime::unix_now_us());
+      }
+      // Learn/refresh the route: this connection reaches frame.from.
+      Outbox& peer = outbox(frame.from);
+      if (!peer.route || peer.route->dead) peer.route = sock;
+      peer.known = true;
+      local_deliver(frame.from, frame.to, frame.body);
+      // A handler's write may have killed this connection; the rest of its
+      // input goes with it.
+      if (s.dead) return true;
     }
-    rt_.run([this, &frame] { local_deliver(frame.from, frame.to, frame.body); });
+    std::memmove(s.in.data(), s.in.data() + off, s.in_len - off);
+    s.in_len -= off;
+    // A recv that did not fill the buffer drained the socket.
+    if (static_cast<std::size_t>(n) < space) return true;
   }
-  sock->kill();
-  std::lock_guard<std::mutex> lk(io_mu_);
-  for (auto it = routes_.begin(); it != routes_.end();) {
-    it = it->second == sock ? routes_.erase(it) : std::next(it);
+}
+
+void TcpTransport::kill(Sock& sock) {
+  if (sock.dead) return;
+  sock.dead = true;
+  rt_.unwatch(sock.fd, sock.token);
+  if (sock.rest_of != nullptr) {
+    sock.rest = {};
+    sock.rest_of->pinned = false;
+    sync_depth(*sock.rest_of);
+    sock.rest_of = nullptr;
+    frames_dropped_.fetch_add(1, std::memory_order_relaxed);
   }
-  sock->reader_done = true;
+  for (auto& [dest, box] : outboxes_) {
+    if (box->route.get() == &sock) box->route.reset();
+  }
+  // Last: this may drop the final reference but the caller's.
+  std::erase_if(conns_, [&](const auto& c) { return c.get() == &sock; });
+}
+
+void TcpTransport::set_want_out(Sock& sock, bool on) {
+  if (sock.dead || sock.want_out == on) return;
+  sock.want_out = on;
+  rt_.rewatch(sock.fd, sock.token, on ? EPOLLIN | EPOLLOUT : EPOLLIN);
 }
 
 void TcpTransport::local_deliver(ProcessId from, ProcessId to,
                                  const sim::BodyPtr& body) {
-  sim::Process* p = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(procs_mu_);
-    auto it = procs_.find(to);
-    if (it != procs_.end()) p = it->second;
-  }
-  if (p == nullptr || p->crashed()) return;  // late frame for a gone process
+  auto it = procs_.find(to);
+  if (it == procs_.end() || it->second->crashed()) return;  // gone process
+  sim::Process* p = it->second;
   sim::Message msg;
   msg.from = from;
   msg.to = to;

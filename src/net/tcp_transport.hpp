@@ -8,31 +8,34 @@
 //     are silently dropped after a bounded dial effort — to the sender,
 //     slow and dead stay indistinguishable, exactly the model the
 //     protocols assume.
-//   * Writes on the sending thread: a frame goes onto the socket from the
-//     thread that sends it (a client's op thread, or a server's reader
-//     thread running the handler) with one non-blocking write, when the
-//     destination has nothing queued, nobody is mid-write toward it and a
-//     live connection exists. Most frames never cross a thread.
-//   * Per-destination sender threads for the slow cases only: dialing, a
-//     backlog, and finishing a frame a full socket buffer cut short. The
-//     thread is spawned on the first frame that actually has to wait, so
-//     a SIGKILLed server stalls only its own queue while the rest of a
-//     quorum fan-out proceeds at full speed.
+//   * No threads of its own: the listener and every connection sit in the
+//     node's NodeRuntime epoll set, and all transport state is guarded by
+//     the node lock — send() runs in protocol code, the readiness handlers
+//     on whichever thread polls the node.
+//   * Writes on the sending thread: a frame goes onto the socket inside
+//     send() with one non-blocking write when the destination has nothing
+//     queued and a live connection exists. A per-destination queue holds
+//     frames only while a dial (a non-blocking connect, retried on the
+//     node's timers) is in flight or a full socket buffer waits for
+//     EPOLLOUT; the queue then goes out in one writev. A SIGKILLed server
+//     stalls only its own queue while the rest of a quorum fan-out
+//     proceeds at full speed.
 //   * Learned routes: listeners never dial. A server answers a client over
 //     the connection the client dialed in on — the frame header's `from`
 //     binds the connection to a peer id on first receipt. Only processes
 //     published in the AddressBook (servers) are ever dialed.
-//   * Delivery: a reader thread decodes a frame and hands it to the node's
-//     NodeRuntime::run(), so protocol handlers and coroutine resumptions
-//     stay single-threaded per node.
+//   * Delivery: a readable connection is read into its own buffer, which
+//     may hold many frames; each is delivered with the node's clock
+//     advanced to its own delivery time.
 //
 // atomic_broadcast degrades to per-destination sends: real crash-stop
 // networks have no all-or-none md-primitive, so protocols that *depend* on
 // that guarantee (the Section-5 direct state transfer) are verified on the
 // sim backend (see sim::Transport).
 //
-// Lifetime: stop() (idempotent, called by the destructor) joins every
-// thread. Registered processes must stay alive until stop() returns.
+// Lifetime: stop() (idempotent, called by the destructor) closes every
+// socket. Processes register before start() and must stay registered and
+// alive until stop() returns.
 #pragma once
 
 #include "common/types.hpp"
@@ -42,8 +45,6 @@
 #include "sim/transport.hpp"
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -51,9 +52,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace ares::net {
@@ -92,35 +91,30 @@ class TcpTransport final : public sim::Transport {
     std::string listen_host = "127.0.0.1";
     std::uint16_t listen_port = 0;  // 0 = ephemeral, see port()
 
-    /// Dial budget for a destination never connected before (covers the
-    /// startup race where a peer's listener is still coming up) vs. one
-    /// whose established connection died (it probably crashed).
+    /// Dial budget for a destination never connected before (the startup
+    /// race) vs. one whose established connection died (it probably
+    /// crashed).
     int dial_attempts = 40;
     int redial_attempts = 2;
     int dial_retry_ms = 50;
 
-    /// ± percent jitter on every dial retry sleep (see
-    /// jittered_dial_delay_ms): a fixed sleep synchronizes every sender
-    /// thread of every client into a reconnect stampede after a server
-    /// restart.
+    /// ± percent jitter on every dial retry delay (see
+    /// jittered_dial_delay_ms): a fixed delay synchronizes every client
+    /// into a reconnect stampede after a server restart.
     int dial_retry_jitter_pct = 50;
 
-    /// After a failed dial, drop frames to that destination without
-    /// re-dialing for this long (a crashed server must not cost every
-    /// subsequent frame a connect timeout).
+    /// After a failed dial effort, drop frames to that destination without
+    /// re-dialing for this long.
     int down_ms = 2000;
 
-    /// Per-destination sender queue bound. When a peer is dead or
-    /// partitioned its queue would otherwise grow without limit (every
-    /// retransmission, probe and op adds frames nobody drains); beyond
-    /// this depth the OLDEST frame is dropped — stale rounds lose to the
-    /// live operation's traffic, and the protocols tolerate loss by
-    /// construction.
+    /// Per-destination queue bound: beyond it the OLDEST frame is dropped,
+    /// so a dead or partitioned peer's queue cannot grow without limit —
+    /// stale rounds lose to the live operation's traffic, and the
+    /// protocols tolerate loss by construction.
     std::size_t max_queue_frames = 512;
 
-    /// After a write fails mid-frame (peer reset the connection), how many
-    /// times the frame is re-offered to a freshly dialed connection before
-    /// being dropped (reconnect-and-replay of unacked frames).
+    /// How many times a frame whose write failed (reset connection) is
+    /// re-offered to a freshly dialed connection before being dropped.
     int write_replay_attempts = 2;
   };
 
@@ -129,26 +123,21 @@ class TcpTransport final : public sim::Transport {
                Options opt);
   ~TcpTransport() override;
 
-  /// Bind + listen (if configured) and start accepting. Must be called
-  /// before the first frame can flow; processes may register earlier.
+  /// Bind + listen (if configured) and join the node's loop. Must be called
+  /// before the first frame can flow.
   void start();
 
-  /// Close every socket and join every thread. Idempotent.
+  /// Close every socket and cancel pending dials. Idempotent.
   void stop();
 
   /// Actual listening port (after start() with listen=true).
   [[nodiscard]] std::uint16_t port() const { return port_; }
 
-  /// Install a failure detector: enqueue() fast-fails frames to suspected
-  /// peers, the reader feeds receipts back, and the dial path shrinks its
-  /// budget for suspects. Call before start(); not thread-safe to swap
-  /// while frames are flowing.
+  /// Install a failure detector: send() fast-fails frames to suspected
+  /// peers, receipts feed back into it, and the dial path shrinks its
+  /// budget for suspects. Call before start().
   void set_failure_detector(std::shared_ptr<FailureDetector> fd) {
     detector_ = std::move(fd);
-  }
-  [[nodiscard]] const std::shared_ptr<FailureDetector>& failure_detector()
-      const {
-    return detector_;
   }
 
   /// Install the deployment's shared fault script: every write attempt
@@ -165,27 +154,24 @@ class TcpTransport final : public sim::Transport {
   [[nodiscard]] std::uint64_t frames_dropped() const {
     return frames_dropped_;
   }
-  /// Subsets of frames_dropped(), by cause.
+  /// The subset of frames_dropped() the queue bound dropped.
   [[nodiscard]] std::uint64_t frames_dropped_overflow() const {
     return frames_dropped_overflow_;
-  }
-  [[nodiscard]] std::uint64_t frames_fastfailed() const {
-    return frames_fastfailed_;
   }
   /// Frames rewritten onto a freshly dialed connection after a write
   /// failure (reconnect-and-replay).
   [[nodiscard]] std::uint64_t frames_replayed() const {
     return frames_replayed_;
   }
-  /// Frames whose first write attempt ran on the sending thread instead of
-  /// the destination's sender thread, whatever that attempt's outcome.
+  /// Frames whose first write attempt ran inside send(), on the sending
+  /// thread, instead of after waiting in the queue.
   [[nodiscard]] std::uint64_t frames_inline() const { return frames_inline_; }
 
-  /// Current depth of the sender queue toward `dest` (0 if none exists),
-  /// counting a partially written frame whose rest awaits the sender.
+  /// Current depth of the queue toward `dest`, counting a partially
+  /// written frame whose rest awaits EPOLLOUT. Callable from any thread.
   [[nodiscard]] std::size_t queue_depth(ProcessId dest) const;
 
-  // --- sim::Transport --------------------------------------------------------
+  // --- sim::Transport (called under the node lock) ---------------------------
   void register_process(sim::Process& p) override;
   void unregister_process(ProcessId id) override;
   void send(ProcessId from, ProcessId to, sim::BodyPtr body) override;
@@ -193,114 +179,106 @@ class TcpTransport final : public sim::Transport {
                         sim::BodyPtr body) override;
 
  private:
-  /// One TCP connection. A single reader thread owns the receive side; the
-  /// write side is shared under write_mu (two outboxes may route over one
-  /// connection when a peer node hosts two processes). The fd is closed
-  /// when the last reference drops, so a thread still holding a dead Sock
-  /// can never write to a reused descriptor.
+  struct Outbox;
+
+  /// One TCP connection, guarded by the node lock. The fd closes when the
+  /// last reference drops; kill() takes it out of the epoll set first.
   struct Sock {
     explicit Sock(int fd) : fd(fd) {}
     ~Sock();
     Sock(const Sock&) = delete;
     Sock& operator=(const Sock&) = delete;
 
-    /// Mark dead and shut both directions down: the reader wakes, writers
-    /// fail fast.
-    void kill();
-
     const int fd;
-    std::mutex write_mu;
-    std::atomic<bool> dead{false};
-    /// Unwritten tail of a frame whose non-blocking write stopped part-way
-    /// (guarded by write_mu). Nothing else may go onto this connection
-    /// before it; it is finished here or dropped with the connection,
-    /// never replayed elsewhere.
+    std::uint64_t token = 0;  // NodeRuntime::watch token
+    bool want_out = false;    // polled for EPOLLOUT
+    bool dead = false;
+    /// Unwritten tail of a frame cut short, and the queue it came from:
+    /// finished on this connection before anything else, or dropped with
+    /// it — never replayed elsewhere.
     std::vector<std::uint8_t> rest;
-    bool reader_done = false;  // guarded by io_mu_
+    Outbox* rest_of = nullptr;
+    /// Received bytes: in[0, in_len) is the start of the next frame.
+    std::vector<std::uint8_t> in;
+    std::size_t in_len = 0;
   };
 
-  /// A frame waiting for the sender thread, with the number of write
-  /// attempts it has already used (a failed write on the sending thread
-  /// counts against the replay budget).
+  /// A queued frame, with the number of write attempts it has already used
+  /// (a failed write counts against the replay budget) and the chaos draw
+  /// for its next attempt, once made.
   struct Queued {
     std::vector<std::uint8_t> frame;
     int attempts = 0;
+    std::optional<ChaosController::SockFault> fault;
   };
 
+  /// One destination: its route, its queue and its dial state. Guarded by
+  /// the node lock except `depth`, which queue_depth() reads.
   struct Outbox {
-    std::mutex mu;
-    std::condition_variable cv;
+    /// The live learned or dialed connection, if any.
+    std::shared_ptr<Sock> route;
+    /// Connected at least once: the generous first-dial budget (startup
+    /// race) never applies again, or 40 jittered attempts would delay
+    /// note_dial_failure — and thus suspicion — by seconds.
+    bool known = false;
     std::deque<Queued> q;
-    /// Connection holding a partially written frame of this destination;
-    /// logically the head of the queue.
-    std::shared_ptr<Sock> pinned;
-    /// Some thread is writing a frame toward this destination; whoever
-    /// else has a frame for it must queue, so frames keep their order.
-    bool writing = false;
-    bool stop = false;
-    std::thread th;
-
-    [[nodiscard]] std::size_t depth() const {
-      return q.size() + (pinned ? 1 : 0);
-    }
+    /// A frame of this destination is partially written: its tail is some
+    /// connection's Sock::rest. Counts toward the depth.
+    bool pinned = false;
+    std::atomic<std::size_t> depth{0};
+    /// A dial is in flight: the connecting socket, or an armed retry timer.
+    std::shared_ptr<Sock> dialing;
+    bool retry_armed = false;
+    int dial_attempt = 0;  // attempts made by the current dial effort
+    int dial_budget = 0;
+    /// After a failed dial effort, frames are dropped until this virtual
+    /// time instead of starting another.
+    SimTime down_until = 0;
   };
 
-  struct Conn {
-    std::shared_ptr<Sock> sock;
-    std::thread reader;
-  };
+  Outbox& outbox(ProcessId dest);
 
-  /// Outcome of one write attempt of one frame (see write_frame).
-  enum class WriteOutcome {
-    kSent,     // every byte is on the wire
-    kTorn,     // chaos tore it: a prefix went out, the connection is dead
-    kPartial,  // a full socket buffer cut it short: Sock::rest holds the tail
-    kBlocked,  // a full socket buffer took no byte: the frame is untouched
-    kFailed,   // reset or write error: the frame is intact, replayable
-  };
+  /// Move `dest`'s queue forward: write what its live route takes, dial
+  /// when there is none, drop the queue when no dial is possible. Returns
+  /// without writing while a dial or an EPOLLOUT is pending: their
+  /// completion kicks again. `from_send`: the head frame is the one send()
+  /// just queued (counted in frames_inline when written here).
+  void kick(ProcessId dest, Outbox& box, bool from_send = false);
 
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Sock> sock);
-  void sender_loop(ProcessId dest, Outbox* box);
+  /// One write attempt of `sock`'s pinned tail and then `box`'s queued
+  /// frames, with one writev: the only place frames hit a socket. Each
+  /// frame first draws from the chaos script; a frame that draws a fault
+  /// ends the batch, and the fault strikes it after the frames ahead of it
+  /// are written. Written and torn frames leave the queue; a frame cut
+  /// short leaves it with its tail pinned to `sock`. Returns true when a
+  /// full socket buffer stopped the write (wait for EPOLLOUT); otherwise
+  /// the batch went out or the connection died.
+  bool write_queued(Sock& sock, Outbox& box);
 
-  /// The sender thread's reconnect-and-replay of one queued frame.
-  void send_queued(ProcessId dest, Queued item);
+  /// Dial `dest` through the AddressBook: non-blocking connects, retried
+  /// on the node's timers within the budget, then the down window.
+  void start_dial(ProcessId dest, Outbox& box);
+  void dial_once(ProcessId dest, Outbox& box);
+  void on_dialed(ProcessId dest, const std::shared_ptr<Sock>& sock);
+  void dial_failed(ProcessId dest, Outbox& box);
+  void drop_queue(Outbox& box);
+  static void sync_depth(Outbox& box);
 
-  /// One write attempt of `frame` on `sock`, the only place frames hit a
-  /// socket: consults the chaos script, counts sent/torn frames, and on a
-  /// partial non-blocking write pins the rest to `sock`. Caller holds
-  /// sock.write_mu and sock.rest is empty.
-  WriteOutcome write_frame(Sock& sock, std::vector<std::uint8_t>& frame,
-                           bool blocking);
+  /// Poll an accepted or connected socket.
+  void adopt(const std::shared_ptr<Sock>& sock);
+  void on_accept();
+  void on_ready(const std::shared_ptr<Sock>& sock, std::uint32_t events);
+  /// Read what `sock` has and deliver every whole frame, each at its own
+  /// delivery time. Returns false when the connection ended (EOF, error or
+  /// a corrupt frame).
+  bool read_frames(const std::shared_ptr<Sock>& sock);
 
-  /// Finish (blocking) the partial frame pinned to `sock`, if any. Returns
-  /// whether the connection is still usable. Caller holds sock.write_mu.
-  bool finish_rest_locked(Sock& sock);
+  /// Mark the connection dead, take it out of the loop and the routes, and
+  /// drop its pinned tail.
+  void kill(Sock& sock);
+  void set_want_out(Sock& sock, bool on);
 
-  /// Append to (or, for a frame whose write was attempted, prepend to) the
-  /// queue, enforce the bound, and wake the sender. Caller holds box.mu.
-  void queue_locked(ProcessId dest, Outbox& box, Queued item, bool front);
-
-  /// Spawn the destination's sender thread on its first queued frame, and
-  /// wake it. Caller holds box.mu.
-  void wake_sender_locked(ProcessId dest, Outbox& box);
-
-  /// The live learned or dialed route to `dest`, or nullptr. Never dials.
-  std::shared_ptr<Sock> live_route(ProcessId dest);
-
-  /// The live learned route to `dest`, dialing through the AddressBook if
-  /// there is none. Returns nullptr when the destination is unreachable.
-  std::shared_ptr<Sock> route_or_dial(ProcessId dest);
-
-  /// Wrap an accepted/dialed fd: registers it and spawns its reader, after
-  /// reaping the readers of connections that have ended. Returns nullptr
-  /// (caller closes fd) when the transport has stopped.
-  std::shared_ptr<Sock> adopt_fd(int fd);
-
-  void enqueue(ProcessId to, std::vector<std::uint8_t> frame);
-
-  /// Hand a message to the local process `to` (runs inside rt_.run() or a
-  /// posted simulator event — node lock held either way).
+  /// Hand a message to the local process `to` (node lock held).
   void local_deliver(ProcessId from, ProcessId to, const sim::BodyPtr& body);
 
   NodeRuntime& rt_;
@@ -309,26 +287,18 @@ class TcpTransport final : public sim::Transport {
 
   std::atomic<bool> running_{false};
   int listen_fd_ = -1;
+  std::uint64_t listen_token_ = 0;
   std::uint16_t port_ = 0;
-  std::thread accept_thread_;
 
-  std::mutex procs_mu_;
+  /// Processes register before start() and unregister after stop().
   std::unordered_map<ProcessId, sim::Process*> procs_;
 
-  std::mutex io_mu_;  // conns_, routes_, known_peers_, down_until_
-  std::vector<Conn> conns_;
-  std::unordered_map<ProcessId, std::shared_ptr<Sock>> routes_;
-  /// Destinations that were connected at least once. The generous
-  /// first-dial budget (startup race) must never apply to these: a dead
-  /// route may already be erased by its reader thread when the sender
-  /// re-dials, and 40 jittered attempts would delay note_dial_failure —
-  /// and thus suspicion — by seconds.
-  std::unordered_set<ProcessId> known_peers_;
-  std::unordered_map<ProcessId, std::chrono::steady_clock::time_point>
-      down_until_;
+  std::vector<std::shared_ptr<Sock>> conns_;  // node lock
+  /// Expires on stop(): a dial-retry timer firing later touches nothing.
+  std::shared_ptr<void> alive_;
 
-  /// Outboxes live until destruction (stop() only drains them), so a
-  /// sending thread racing stop() never touches a freed one.
+  /// Outboxes live until destruction; out_mu_ guards the map's structure
+  /// (inserts, and queue_depth()'s lookups from other threads).
   mutable std::mutex out_mu_;
   std::unordered_map<ProcessId, std::unique_ptr<Outbox>> outboxes_;
 
@@ -339,7 +309,6 @@ class TcpTransport final : public sim::Transport {
   std::atomic<std::uint64_t> frames_received_{0};
   std::atomic<std::uint64_t> frames_dropped_{0};
   std::atomic<std::uint64_t> frames_dropped_overflow_{0};
-  std::atomic<std::uint64_t> frames_fastfailed_{0};
   std::atomic<std::uint64_t> frames_replayed_{0};
   std::atomic<std::uint64_t> frames_inline_{0};
 };

@@ -12,9 +12,9 @@
 //
 // The codec also serves the cost model: metadata_bytes() below measures a
 // message's real framing + metadata size (encoded size minus object-data
-// bytes), which sim::MessageBody::metadata_bytes() reports by default — so
-// byte accounting is identical across the sim and socket backends by
-// construction.
+// bytes), which sim::MessageBody::metadata_bytes() reports — so byte
+// accounting is identical across the sim and socket backends by
+// construction. A decoded body takes that size from its frame length.
 #pragma once
 
 #include "common/types.hpp"

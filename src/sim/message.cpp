@@ -5,7 +5,8 @@
 namespace ares::sim {
 
 std::size_t MessageBody::metadata_bytes() const {
-  return net::wire::metadata_bytes(*this);
+  if (metadata_bytes_ == 0) metadata_bytes_ = net::wire::metadata_bytes(*this);
+  return metadata_bytes_;
 }
 
 }  // namespace ares::sim

@@ -15,6 +15,13 @@ namespace ares::sim {
 
 class MessageBody {
  public:
+  MessageBody() = default;
+  /// A copy is measured afresh: its fields may still change.
+  MessageBody(const MessageBody& /*other*/) {}
+  MessageBody& operator=(const MessageBody& /*other*/) {
+    metadata_bytes_ = 0;
+    return *this;
+  }
   virtual ~MessageBody() = default;
 
   /// Bytes of object data (values / coded elements) carried by this message.
@@ -26,10 +33,21 @@ class MessageBody {
   /// transport actually puts on the wire. Falls back to a nominal 32 for
   /// types without a registered codec. The paper's cost accounting ignores
   /// these either way.
-  [[nodiscard]] virtual std::size_t metadata_bytes() const;
+  ///
+  /// Measured once per body and remembered (the sender, the network and the
+  /// receiver all ask): a body must not change once it has been measured,
+  /// i.e. once it is sent. Not synchronized — a body belongs to one node.
+  [[nodiscard]] std::size_t metadata_bytes() const;
+
+  /// Record the metadata size of a body decoded from a frame of known
+  /// length, sparing metadata_bytes() its counting encode.
+  void set_metadata_bytes(std::size_t n) const { metadata_bytes_ = n; }
 
   /// Stable name used for per-type network statistics.
   [[nodiscard]] virtual std::string_view type_name() const = 0;
+
+ private:
+  mutable std::size_t metadata_bytes_ = 0;  // 0 = not measured yet
 };
 
 using BodyPtr = std::shared_ptr<const MessageBody>;

@@ -277,12 +277,17 @@ TEST(ChaosTcpOnly, InlineWritesHitSocketFaults) {
   net::TcpTransport tcp(rt, book, topt);
   tcp.set_chaos(chaos);
   tcp.start();
+  // Nobody waits on this node: its driver completes dials and flushes.
+  rt.start_driver();
+  const auto send = [&](ObjectId n) {
+    rt.run([&] { tcp.send(1, 5, numbered_body(n, 64)); });
+  };
 
   // Send frame `n` and wait until the transport has written `sent`
-  // frames, plus a moment for the sender thread to go idle — the next
-  // frame then finds a live route and nothing queued, so it goes inline.
+  // frames, plus a moment for the queue to go idle — the next frame then
+  // finds a live route and nothing queued, so it goes inline.
   const auto send_and_settle = [&](ObjectId n, std::uint64_t sent) {
-    tcp.send(1, 5, numbered_body(n, 64));
+    send(n);
     const auto end =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
     while (tcp.frames_sent() < sent &&
@@ -292,12 +297,12 @@ TEST(ChaosTcpOnly, InlineWritesHitSocketFaults) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     return tcp.frames_sent() == sent;
   };
-  ASSERT_TRUE(send_and_settle(0, 1));  // dials via the sender thread
+  ASSERT_TRUE(send_and_settle(0, 1));  // dials through the queue
 
-  // Reset: the inline attempt is reset, then the sender thread replays
-  // the frame on fresh connections until the budget is spent.
+  // Reset: the inline attempt is reset, then the queue replays the frame
+  // on freshly dialed connections until the budget is spent.
   chaos->set_reset_rate(1.0);
-  tcp.send(1, 5, numbered_body(1, 64));
+  send(1);
   EXPECT_EQ(tcp.frames_inline(), 1u);
   const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (tcp.frames_dropped() == 0 && std::chrono::steady_clock::now() < end) {
@@ -309,9 +314,9 @@ TEST(ChaosTcpOnly, InlineWritesHitSocketFaults) {
   chaos->set_reset_rate(0);
 
   // Tear: the inline attempt tears the frame and consumes it on the spot.
-  ASSERT_TRUE(send_and_settle(2, 2));  // redials via the sender thread
+  ASSERT_TRUE(send_and_settle(2, 2));  // redials through the queue
   chaos->set_torn_rate(1.0);
-  tcp.send(1, 5, numbered_body(3, 64));
+  send(3);
   EXPECT_EQ(tcp.frames_inline(), 2u);
   EXPECT_EQ(chaos->frames_torn(), 1u);
   EXPECT_EQ(tcp.queue_depth(5), 0u);
@@ -327,10 +332,10 @@ TEST(ChaosTcpOnly, InlineWritesHitSocketFaults) {
   tcp.stop();
 }
 
-// Resets must not leak connections: an ended connection's reader thread
-// is reaped when the transport adopts its next connection, and the fd
-// closes with the last reference, so the process's open fds stay bounded
-// however many resets and redials a run goes through.
+// Resets must not leak connections: an ended connection leaves its
+// node's epoll set at once and its fd closes with the last reference, so
+// the process's open fds stay bounded however many resets and redials a
+// run goes through.
 TEST(ChaosTcpOnly, ResetsLeakNoFds) {
   DeployConfig cfg = chaos_cfg();
   cfg.retransmit = true;
@@ -477,12 +482,17 @@ TEST(ChaosTcpOnly, BoundedSenderQueueDropsOldest) {
   topt.max_queue_frames = 8;
   net::TcpTransport tcp(rt, book, topt);
   tcp.start();
+  // Nobody waits on this node: its driver completes dials and flushes.
+  rt.start_driver();
+  const auto send = [&](ObjectId n) {
+    rt.run([&] { tcp.send(/*from=*/1, /*to=*/5, numbered_body(n, 65'536)); });
+  };
 
-  // Frame 0 dials through the sender thread. Once the sender idles, the
-  // next frames are written on this thread until the socket buffers fill
+  // Frame 0 dials through the queue. Once the queue idles, the next
+  // frames are written on this thread until the socket buffers fill
   // mid-frame, so the bound then engages with a partial frame pinned at
   // the head of the queue.
-  tcp.send(/*from=*/1, /*to=*/5, numbered_body(0, 65'536));
+  send(0);
   const auto sent0 = std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (tcp.frames_sent() == 0 && std::chrono::steady_clock::now() < sent0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -492,9 +502,7 @@ TEST(ChaosTcpOnly, BoundedSenderQueueDropsOldest) {
   // 64 KiB frames: a few hundred vastly exceed queue bound + socket
   // buffers, so the enqueue-side bound must engage.
   constexpr ObjectId kFrames = 300;
-  for (ObjectId i = 1; i < kFrames; ++i) {
-    tcp.send(/*from=*/1, /*to=*/5, numbered_body(i, 65'536));
-  }
+  for (ObjectId i = 1; i < kFrames; ++i) send(i);
 
   EXPECT_GT(tcp.frames_inline(), 0u);
   EXPECT_LE(tcp.queue_depth(5), topt.max_queue_frames);

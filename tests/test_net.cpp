@@ -9,11 +9,20 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 namespace ares {
 namespace {
@@ -180,6 +189,47 @@ TEST(TcpTransportOnly, BatchedReadsOverTcp) {
   expect_atomic(cluster.check_atomicity());
 }
 
+/// Entries of a /proc directory (threads of /proc/self/task, open fds of
+/// /proc/self/fd).
+std::size_t count_entries(const char* dir) {
+  const std::filesystem::directory_iterator it(dir);
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::begin(it), std::filesystem::end(it)));
+}
+
+// One loop per node: a deployment's only threads are its servers' drivers
+// (clients and connections add none), and its fds are its sockets plus
+// each node's epoll set and eventfd.
+TEST(TcpTransportOnly, OneThreadPerServerNoneForClientsOrConnections) {
+  constexpr std::size_t kServers = 5;
+  constexpr std::size_t kClients = 2;
+  const std::size_t threads0 = count_entries("/proc/self/task");
+  const std::size_t fds0 = count_entries("/proc/self/fd");
+
+  net::NetClusterOptions o;
+  o.servers = kServers;
+  o.num_clients = kClients;
+  o.num_objects = 16;
+  o.seed = 13;
+  net::NetCluster cluster(o);
+  harness::WorkloadOptions w;
+  w.ops_per_client = 250;
+  w.write_fraction = 0.3;
+  w.value_size = 64;
+  w.seed = 5;
+  const auto result = net::run_net_workload(cluster, w);
+  ASSERT_EQ(result.ops.size(), kClients * 250);
+  EXPECT_EQ(result.failures, 0u);
+
+  EXPECT_LE(count_entries("/proc/self/task"), threads0 + kServers);
+  // Per node an epoll set and an eventfd, per server a listener, per
+  // client-server connection its two ends.
+  EXPECT_LE(count_entries("/proc/self/fd"),
+            fds0 + 2 * (kServers + kClients) + kServers +
+                2 * kServers * kClients);
+  expect_atomic(cluster.check_atomicity());
+}
+
 // Poll `cond` every millisecond for up to 5 s.
 template <typename Cond>
 bool eventually(Cond cond) {
@@ -202,17 +252,22 @@ TEST(TcpTransportOnly, PartialInlineWriteKeepsFrameOrder) {
   book->set(5, net::Endpoint{"127.0.0.1", peer.port()});
   net::TcpTransport tcp(rt, book);
   tcp.start();
+  // Nobody waits on this node: its driver completes dials and flushes.
+  rt.start_driver();
+  const auto send = [&](ObjectId n, std::size_t size) {
+    rt.run([&] { tcp.send(1, 5, numbered_body(n, size)); });
+  };
 
-  // Frame 0 dials through the sender thread; once it is out and the
-  // sender idles, the connection is a live route.
-  tcp.send(1, 5, numbered_body(0, 64));
+  // Frame 0 dials through the queue; once it is out and the queue idles,
+  // the connection is a live route.
+  send(0, 64);
   ASSERT_TRUE(eventually([&] { return tcp.frames_sent() == 1; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   constexpr std::size_t kBig = 8u << 20;
-  for (ObjectId i = 1; i <= 3; ++i) tcp.send(1, 5, numbered_body(i, 64));
-  tcp.send(1, 5, numbered_body(4, kBig));
-  for (ObjectId i = 5; i <= 9; ++i) tcp.send(1, 5, numbered_body(i, 64));
+  for (ObjectId i = 1; i <= 3; ++i) send(i, 64);
+  send(4, kBig);
+  for (ObjectId i = 5; i <= 9; ++i) send(i, 64);
 
   // Frames 1-4 were written on this thread; 1-3 went out whole, the
   // 8 MiB one did not fit the stalled peer's buffers, and 5-9 wait
@@ -324,6 +379,83 @@ TEST(NodeRuntimeWakeups, EarlierTimerWakesDriver) {
   }
   rt.stop_driver();
   EXPECT_LE(late, 2);
+}
+
+// --- frame delivery time -----------------------------------------------------
+
+/// Records the node clock at each numbered frame's delivery. The handler of
+/// frame 1 stalls until the test has written frame 2, then a little longer.
+class StallingProcess final : public sim::Process {
+ public:
+  using sim::Process::Process;
+
+  std::atomic<bool> in_first{false};
+  std::atomic<bool> second_written{false};
+  std::vector<std::pair<ObjectId, SimTime>> stamps;  // node lock
+
+ protected:
+  void handle(const sim::Message& msg) override {
+    const auto* b = dynamic_cast<const dap::PutBatchReq*>(msg.body.get());
+    ASSERT_NE(b, nullptr);
+    const ObjectId n = b->items.at(0).object;
+    stamps.emplace_back(n, simulator().now());
+    if (n != 1) return;
+    in_first = true;
+    const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!second_written && std::chrono::steady_clock::now() < end) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+};
+
+// Every frame is stamped with the node clock at its own delivery: frame 2,
+// written while frame 1's handler stalls, must not inherit the time at
+// which the poll that found frame 1 returned. (A loop that advances the
+// clock once per poll and then keeps reading the same socket stamps it
+// early — an operation's end could then precede its last reply.)
+TEST(NodeRuntimeDelivery, FrameStampedAtItsOwnDeliveryTime) {
+  net::NodeRuntime rt(1);
+  net::TcpTransport::Options topt;
+  topt.listen = true;
+  net::TcpTransport tcp(rt, std::make_shared<net::AddressBook>(), topt);
+  StallingProcess proc(rt.simulator(), tcp, 7);
+  tcp.start();
+  rt.start_driver();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(tcp.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const auto write_frame = [fd](ObjectId n) {
+    const auto bytes = net::wire::encode_frame(9, 7, *numbered_body(n, 64));
+    return ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  };
+
+  ASSERT_TRUE(write_frame(1));
+  ASSERT_TRUE(eventually([&] { return proc.in_first.load(); }));
+  const SimTime t2 = net::NodeRuntime::unix_now_us();
+  ASSERT_TRUE(write_frame(2));
+  proc.second_written = true;
+
+  std::vector<std::pair<ObjectId, SimTime>> stamps;
+  ASSERT_TRUE(eventually([&] {
+    rt.run([&] { stamps = proc.stamps; });
+    return stamps.size() == 2;
+  }));
+  EXPECT_EQ(stamps[1].first, 2u);
+  EXPECT_GE(stamps[1].second, t2)
+      << "frame 2 stamped " << t2 - stamps[1].second
+      << " us before it was written";
+
+  ::close(fd);
+  rt.stop_driver();
+  tcp.stop();
 }
 
 }  // namespace
